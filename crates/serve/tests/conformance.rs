@@ -7,6 +7,7 @@
 //! `rosace` preset, and a generated NL16 workload file.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use mia_arbiter::RoundRobin;
@@ -24,15 +25,23 @@ fn owned(args: &[&str]) -> Vec<String> {
 }
 
 /// A generated NL16 workload file, removed on drop.
+///
+/// Each instance owns a unique path (pid plus a process-wide counter):
+/// the tests in this file run as parallel threads of one process, so a
+/// shared path would let one test's `Drop` delete — or its `generate`
+/// truncate — the file another test is still reading.
+/// `tests/invalidation.rs` keeps its scratch files apart the same way.
 struct Nl16File {
     path: PathBuf,
 }
 
 impl Nl16File {
     fn generate() -> Nl16File {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
         let path = std::env::temp_dir().join(format!(
-            "mia_serve_conformance_nl16_{}.json",
-            std::process::id()
+            "mia_serve_conformance_nl16_{}_{}.json",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
         ));
         let path_str = path.to_str().expect("utf8 temp path").to_owned();
         mia_cli::run(&owned(&[
