@@ -128,6 +128,10 @@ pub const REGISTRY: &[RegistryEntry] = &[
 /// rows. Returns `None` for anything else; use [`by_name_or_err`] when a
 /// human-readable error is wanted.
 ///
+/// `mppa` is [`MppaTree::cluster16`], the 16-core, 8-pair cluster tree,
+/// whatever the platform's core count: on `--cores > 16` the extra cores
+/// enter through the tree's implicit top-level round-robin input.
+///
 /// The trait object is `Send + Sync` so it can drive the parallel
 /// analysis ([`mia-core`'s `analyze_parallel`](https://docs.rs/mia-core))
 /// and concurrent sweep grids.

@@ -18,8 +18,19 @@ use crate::tree::{ArbitrationNode, ArbitrationTree};
 /// sum would overestimate.
 ///
 /// [`MppaTree::cluster16`] builds the 16-core, 8-pair geometry used in the
-/// paper's evaluation; [`MppaTree::new`] builds the same shape for any core
-/// count and group size.
+/// paper's evaluation; it is what the `mppa` arbiter name resolves to
+/// ([`by_name`](crate::by_name)). [`MppaTree::new`] builds the same shape
+/// for any core count and group size.
+///
+/// Cores outside the hierarchy (cores 16 and up of `cluster16` on a wider
+/// platform, e.g. `mia analyze --cores 64 --arbiter mppa`) reach the bank
+/// through the implicit top-level round-robin input of
+/// [`ArbitrationTree`]: each one competes with the victim like a flat
+/// round-robin peer, and a victim outside the tree competes against the
+/// whole tree as one aggregated opponent.
+///
+/// The bound is evaluated by the compiled [`ArbitrationTree`]; see its
+/// per-call cost.
 ///
 /// # Example
 ///

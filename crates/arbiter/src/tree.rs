@@ -24,61 +24,6 @@ pub enum ArbitrationNode {
     FixedPriority(Vec<ArbitrationNode>),
 }
 
-impl ArbitrationNode {
-    /// Total demand of the subtree given per-core demands.
-    fn demand(&self, lookup: &dyn Fn(CoreId) -> u64) -> u64 {
-        match self {
-            ArbitrationNode::Leaf(core) => lookup(*core),
-            ArbitrationNode::RoundRobin(children) | ArbitrationNode::FixedPriority(children) => {
-                children.iter().map(|c| c.demand(lookup)).sum()
-            }
-        }
-    }
-
-    /// True if the subtree contains the given core.
-    fn contains(&self, core: CoreId) -> bool {
-        match self {
-            ArbitrationNode::Leaf(c) => *c == core,
-            ArbitrationNode::RoundRobin(children) | ArbitrationNode::FixedPriority(children) => {
-                children.iter().any(|c| c.contains(core))
-            }
-        }
-    }
-
-    /// Worst-case number of *access slots* delaying the victim's `demand`
-    /// accesses within this subtree (the victim is inside this subtree).
-    fn delay_slots(&self, victim: CoreId, demand: u64, lookup: &dyn Fn(CoreId) -> u64) -> u64 {
-        match self {
-            ArbitrationNode::Leaf(_) => 0,
-            ArbitrationNode::RoundRobin(children) => {
-                let inner = children
-                    .iter()
-                    .find(|c| c.contains(victim))
-                    .expect("victim must be in subtree");
-                let own = inner.delay_slots(victim, demand, lookup);
-                // Each victim grant at this stage can be overtaken once per
-                // sibling subtree, but no sibling can exceed its total demand.
-                let siblings: u64 = children
-                    .iter()
-                    .filter(|c| !c.contains(victim))
-                    .map(|c| demand.min(c.demand(lookup)))
-                    .sum();
-                own + siblings
-            }
-            ArbitrationNode::FixedPriority(children) => {
-                let pos = children
-                    .iter()
-                    .position(|c| c.contains(victim))
-                    .expect("victim must be in subtree");
-                let own = children[pos].delay_slots(victim, demand, lookup);
-                let higher: u64 = children[..pos].iter().map(|c| c.demand(lookup)).sum();
-                let lower: u64 = children[pos + 1..].iter().map(|c| c.demand(lookup)).sum();
-                own + higher + demand.min(lower)
-            }
-        }
-    }
-}
-
 /// A composable multi-level arbiter.
 ///
 /// The interference bound is computed compositionally along the path from
@@ -88,6 +33,18 @@ impl ArbitrationNode {
 /// Cores that do not appear in the tree are assumed to reach the bank
 /// through an implicit extra top-level round-robin input (so a partially
 /// specified tree still yields sound bounds).
+///
+/// # Cost
+///
+/// [`ArbitrationTree::new`] flattens the hierarchy once, in depth-first
+/// order, into a core → leaf-position table plus, per node, its kind, its
+/// `[lo, hi)` range of leaf positions and its children. Each
+/// [`bank_interference`](Arbiter::bank_interference) call then costs
+/// O(|interferers| + leaves + depth × fanout): one pass scatters the
+/// interferers into per-leaf prefix sums (so a subtree's demand is one
+/// subtraction and membership a range test), and the delay walks only the
+/// victim's root-to-leaf path. Trees of up to 64 leaves use no heap memory
+/// per call. The core table is sized by the largest core id in the tree.
 ///
 /// # Example
 ///
@@ -119,14 +76,22 @@ impl ArbitrationNode {
 pub struct ArbitrationTree {
     root: ArbitrationNode,
     name: String,
+    flat: FlatTree,
 }
 
 impl ArbitrationTree {
     /// Wraps a hierarchy description into an arbiter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a core appears at more than one leaf: an initiator has
+    /// exactly one path to the bank, so such a tree describes no bus.
     pub fn new(root: ArbitrationNode) -> Self {
+        let flat = FlatTree::compile(&root);
         ArbitrationTree {
             root,
             name: "arbitration-tree".to_owned(),
+            flat,
         }
     }
 
@@ -157,31 +122,193 @@ impl Arbiter for ArbitrationTree {
         if demand == 0 || interferers.is_empty() {
             return Cycles::ZERO;
         }
-        let lookup = |core: CoreId| -> u64 {
-            interferers
-                .iter()
-                .find(|i| i.core == core)
-                .map_or(0, |i| i.accesses)
-        };
-        // Interferers outside the tree compete at an implicit top-level
-        // round-robin input.
-        let outside: u64 = interferers
-            .iter()
-            .filter(|i| !self.root.contains(i.core))
-            .map(|i| demand.min(i.accesses))
-            .sum();
-        let slots = if self.root.contains(victim) {
-            self.root.delay_slots(victim, demand, &lookup) + outside
+        let leaves = self.flat.leaves();
+        let slots = if leaves <= STACK_LEAVES {
+            let mut prefix = [0u64; STACK_LEAVES + 1];
+            self.flat
+                .delay_slots(victim, demand, interferers, &mut prefix[..=leaves])
         } else {
-            // Victim outside the tree: it competes round-robin against the
-            // whole tree (one aggregated opponent) plus outside cores.
-            demand.min(self.root.demand(&lookup)) + outside
+            let mut prefix = vec![0u64; leaves + 1];
+            self.flat
+                .delay_slots(victim, demand, interferers, &mut prefix)
         };
         access_cycles * slots
     }
 
     fn is_additive(&self) -> bool {
         false
+    }
+}
+
+/// Trees with at most this many leaves keep their per-call prefix sums on
+/// the stack.
+const STACK_LEAVES: usize = 64;
+
+/// `leaf_of` entry of a core that has no leaf in the tree.
+const NOT_IN_TREE: u32 = u32::MAX;
+
+fn to_u32(n: usize) -> u32 {
+    u32::try_from(n).expect("arbitration tree has fewer than 2^32 nodes")
+}
+
+/// Node kind of a [`FlatTree`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Leaf,
+    RoundRobin,
+    FixedPriority,
+}
+
+/// An [`ArbitrationNode`] hierarchy flattened in depth-first pre-order
+/// (node 0 is the root). A subtree's leaves occupy the contiguous range
+/// `span[node]` of leaf positions, so its demand is a difference of two
+/// prefix sums and "contains the victim" is a range test.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct FlatTree {
+    /// DFS leaf position of each core, or [`NOT_IN_TREE`].
+    leaf_of: Vec<u32>,
+    /// Kind of each node.
+    kind: Vec<Kind>,
+    /// `[lo, hi)` leaf positions of each node's subtree.
+    span: Vec<(u32, u32)>,
+    /// The children of node `n` are `children[child_range[n].0..child_range[n].1]`,
+    /// highest priority first.
+    child_range: Vec<(u32, u32)>,
+    children: Vec<u32>,
+}
+
+impl FlatTree {
+    fn compile(root: &ArbitrationNode) -> Self {
+        let mut flat = FlatTree {
+            leaf_of: Vec::new(),
+            kind: Vec::new(),
+            span: Vec::new(),
+            child_range: Vec::new(),
+            children: Vec::new(),
+        };
+        let mut next_leaf = 0u32;
+        flat.push(root, &mut next_leaf);
+        flat
+    }
+
+    /// Appends `node`'s subtree and returns its node index.
+    fn push(&mut self, node: &ArbitrationNode, next_leaf: &mut u32) -> u32 {
+        let id = to_u32(self.kind.len());
+        let lo = *next_leaf;
+        let (kind, children) = match node {
+            ArbitrationNode::Leaf(core) => {
+                let c = core.index();
+                if self.leaf_of.len() <= c {
+                    self.leaf_of.resize(c + 1, NOT_IN_TREE);
+                }
+                assert!(
+                    self.leaf_of[c] == NOT_IN_TREE,
+                    "core {core} appears at more than one leaf of the arbitration tree"
+                );
+                self.leaf_of[c] = lo;
+                *next_leaf += 1;
+                (Kind::Leaf, &[][..])
+            }
+            ArbitrationNode::RoundRobin(children) => (Kind::RoundRobin, &children[..]),
+            ArbitrationNode::FixedPriority(children) => (Kind::FixedPriority, &children[..]),
+        };
+        self.kind.push(kind);
+        self.span.push((lo, lo));
+        self.child_range.push((0, 0));
+        let kids: Vec<u32> = children.iter().map(|c| self.push(c, next_leaf)).collect();
+        let first = to_u32(self.children.len());
+        self.children.extend(kids);
+        self.child_range[id as usize] = (first, to_u32(self.children.len()));
+        self.span[id as usize].1 = *next_leaf;
+        id
+    }
+
+    fn leaves(&self) -> usize {
+        self.span[0].1 as usize
+    }
+
+    fn leaf(&self, core: CoreId) -> Option<u32> {
+        self.leaf_of
+            .get(core.index())
+            .copied()
+            .filter(|&p| p != NOT_IN_TREE)
+    }
+
+    /// Worst-case access slots delaying the victim's `demand` accesses.
+    /// `prefix` has `leaves() + 1` zeroed entries of scratch.
+    fn delay_slots(
+        &self,
+        victim: CoreId,
+        demand: u64,
+        interferers: &[InterfererDemand],
+        prefix: &mut [u64],
+    ) -> u64 {
+        // Scatter each leaf's demand to `prefix[pos + 1]` (a core appears
+        // at most once among the interferers); interferers outside the
+        // tree compete at an implicit top-level round-robin input.
+        let mut outside = 0u64;
+        for i in interferers {
+            match self.leaf(i.core) {
+                Some(pos) => prefix[pos as usize + 1] = i.accesses,
+                None => outside += demand.min(i.accesses),
+            }
+        }
+        for k in 1..prefix.len() {
+            prefix[k] += prefix[k - 1];
+        }
+        let subtree = |node: u32| {
+            let (lo, hi) = self.span[node as usize];
+            prefix[hi as usize] - prefix[lo as usize]
+        };
+        let Some(pos) = self.leaf(victim) else {
+            // Victim outside the tree: it competes round-robin against the
+            // whole tree (one aggregated opponent) plus outside cores.
+            return demand.min(subtree(0)) + outside;
+        };
+        let mut slots = outside;
+        let mut node = 0usize;
+        loop {
+            slots += match self.kind[node] {
+                Kind::Leaf => return slots,
+                // Each victim grant at this stage can be overtaken once per
+                // sibling subtree, but no sibling can exceed its total demand.
+                Kind::RoundRobin => {
+                    let kids = self.kids(node);
+                    let inner = self.child_holding(kids, pos);
+                    node = inner as usize;
+                    kids.iter()
+                        .filter(|&&c| c != inner)
+                        .map(|&c| demand.min(subtree(c)))
+                        .sum()
+                }
+                // Higher-priority siblings precede the victim's child in leaf
+                // order and delay it fully; lower ones follow it and only block.
+                Kind::FixedPriority => {
+                    let (lo, hi) = self.span[node];
+                    node = self.child_holding(self.kids(node), pos) as usize;
+                    let (inner_lo, inner_hi) = self.span[node];
+                    let higher = prefix[inner_lo as usize] - prefix[lo as usize];
+                    let lower = prefix[hi as usize] - prefix[inner_hi as usize];
+                    higher + demand.min(lower)
+                }
+            };
+        }
+    }
+
+    fn kids(&self, node: usize) -> &[u32] {
+        let (first, last) = self.child_range[node];
+        &self.children[first as usize..last as usize]
+    }
+
+    /// The child whose leaf range holds leaf position `pos`.
+    fn child_holding(&self, kids: &[u32], pos: u32) -> u32 {
+        *kids
+            .iter()
+            .find(|&&c| {
+                let (lo, hi) = self.span[c as usize];
+                (lo..hi).contains(&pos)
+            })
+            .expect("the victim's leaf lies in one child of each node on its path")
     }
 }
 
@@ -296,6 +423,55 @@ mod tests {
         assert_eq!(
             t.bank_interference(CoreId(0), 0, &others, Cycles(1)),
             Cycles::ZERO
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "core PE1 appears at more than one leaf")]
+    fn duplicate_leaf_panics() {
+        let _ = ArbitrationTree::new(ArbitrationNode::RoundRobin(vec![
+            ArbitrationNode::RoundRobin(vec![
+                ArbitrationNode::Leaf(CoreId(0)),
+                ArbitrationNode::Leaf(CoreId(1)),
+            ]),
+            ArbitrationNode::Leaf(CoreId(1)),
+        ]));
+    }
+
+    #[test]
+    fn nested_fixed_priority_uses_leaf_order() {
+        // FP(0, RR(1, 2), FP(3, 4)) with victim 1: core 0 delays fully (5),
+        // partner 2 overtakes min(3, 6) = 3, the lower FP subtree blocks
+        // min(3, 2 + 9) = 3.
+        let t = ArbitrationTree::new(ArbitrationNode::FixedPriority(vec![
+            ArbitrationNode::Leaf(CoreId(0)),
+            ArbitrationNode::RoundRobin(vec![
+                ArbitrationNode::Leaf(CoreId(1)),
+                ArbitrationNode::Leaf(CoreId(2)),
+            ]),
+            ArbitrationNode::FixedPriority(vec![
+                ArbitrationNode::Leaf(CoreId(3)),
+                ArbitrationNode::Leaf(CoreId(4)),
+            ]),
+        ]));
+        let others = [demand(0, 5), demand(2, 6), demand(3, 2), demand(4, 9)];
+        assert_eq!(
+            t.bank_interference(CoreId(1), 3, &others, Cycles(1)),
+            Cycles(11)
+        );
+    }
+
+    #[test]
+    fn large_tree_uses_heap_scratch() {
+        // 100 leaves: past the stack scratch. Flat RR of 99 peers, each
+        // capped at the victim's 2 accesses.
+        let t = ArbitrationTree::new(ArbitrationNode::RoundRobin(
+            (0..100).map(|c| ArbitrationNode::Leaf(CoreId(c))).collect(),
+        ));
+        let others: Vec<InterfererDemand> = (1..100).map(|c| demand(c, 5)).collect();
+        assert_eq!(
+            t.bank_interference(CoreId(0), 2, &others, Cycles(1)),
+            Cycles(198)
         );
     }
 

@@ -36,11 +36,15 @@ fn policies() -> Vec<Box<dyn Arbiter>> {
     ]
 }
 
+/// Cores a scenario draws from: wider than the 16-core MPPA cluster tree,
+/// so its implicit top-level input for cores outside the tree is covered.
+const CORES: u32 = 64;
+
 /// Strategy: victim core, victim demand, and distinct interferer demands.
 fn scenario() -> impl Strategy<Value = (CoreId, u64, Vec<InterfererDemand>)> {
-    (0u32..16, 0u64..600).prop_flat_map(|(victim, demand)| {
+    (0u32..CORES, 0u64..600).prop_flat_map(|(victim, demand)| {
         let interferers = proptest::collection::btree_map(
-            (0u32..16).prop_filter("not victim", move |&c| c != victim),
+            (0u32..CORES).prop_filter("not victim", move |&c| c != victim),
             0u64..600,
             0..8,
         )
@@ -77,7 +81,7 @@ proptest! {
                 .iter()
                 .copied()
                 .chain(
-                    (0..16)
+                    (0..CORES)
                         .map(CoreId)
                         .filter(|&c| c != victim && !set.iter().any(|i| i.core == c))
                         .map(|core| InterfererDemand { core, accesses: 0 }),

@@ -748,6 +748,14 @@ pub fn parse_spec(args: &[String]) -> Result<(SweepSpec, Option<String>, ReportF
 mod tests {
     use super::*;
 
+    /// This test process's scratch directory: the pid keeps two test
+    /// processes on one host out of each other's files.
+    fn scratch_dir() -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("mia-bench-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn family_tokens() {
         assert_eq!(
@@ -802,8 +810,7 @@ mod tests {
     fn sdf_file_family_matches_the_builtin_preset() {
         // A ROSACE graph exported to an .sdf3 file measures identically
         // to the built-in `rosace` family.
-        let dir = std::env::temp_dir().join("mia-bench-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir();
         let path = dir.join("rosace-export.sdf3");
         std::fs::write(&path, mia_sdf::to_sdf3(&mia_sdf::rosace(), "rosace")).unwrap();
         let from_file = SweepFamily::Sdf(path.to_str().unwrap().to_owned())
@@ -832,8 +839,7 @@ mod tests {
 
     #[test]
     fn new_families_sweep_end_to_end() {
-        let dir = std::env::temp_dir().join("mia-bench-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir();
         let path = dir.join("sweep-rosace.sdf3");
         std::fs::write(&path, mia_sdf::to_sdf3(&mia_sdf::rosace(), "rosace")).unwrap();
         let spec = SweepSpec {

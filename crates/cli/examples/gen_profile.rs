@@ -46,7 +46,12 @@ fn main() {
     handle.shutdown();
 
     let spans = mia_obs::take_spans();
-    let trace = mia_trace::to_chrome_trace_with_runtime(&problem, &report.schedule, &spans);
+    let trace = mia_trace::to_chrome_trace_with_runtime(
+        &problem,
+        &report.schedule,
+        &spans,
+        mia_obs::spans_dropped(),
+    );
     std::fs::write(&out, &trace).expect("profile written");
     eprintln!("wrote {out} ({} spans)", spans.len());
 }

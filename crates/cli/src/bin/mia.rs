@@ -1,13 +1,23 @@
 //! The `mia` command-line tool. See `mia help` for usage.
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match mia_cli::run(&args) {
         Ok(output) => {
-            println!("{output}");
-            ExitCode::SUCCESS
+            let mut stdout = std::io::stdout().lock();
+            match writeln!(stdout, "{output}").and_then(|()| stdout.flush()) {
+                Ok(()) => ExitCode::SUCCESS,
+                // The reader went away (`mia … | head -1`): it has read
+                // all it wanted, so stop quietly.
+                Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+                Err(e) => {
+                    eprintln!("mia: writing output: {e}");
+                    ExitCode::FAILURE
+                }
+            }
         }
         Err(e) => {
             eprintln!("mia: {e}");

@@ -120,39 +120,58 @@ pub(crate) fn opt<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
+/// A `--profile` run armed by [`profile_start`].
+pub(crate) struct Profile<'a> {
+    path: &'a str,
+    /// [`mia_obs::spans_dropped`] when the run was armed.
+    dropped_before: u64,
+}
+
 /// Arms the process-global telemetry when the caller passed
-/// `--profile <out.json>` and returns the output path. Spans buffered
-/// by earlier runs in this process are dropped so the trace covers this
-/// command only. The gate is left on afterwards: one-shot commands exit
-/// right away, and the served surface rejects `--profile` outright.
-pub(crate) fn profile_start(args: &[String]) -> Option<&str> {
+/// `--profile <out.json>`. Spans buffered by earlier runs in this process
+/// are dropped so the trace covers this command only. The gate is left on
+/// afterwards: one-shot commands exit right away, and the served surface
+/// rejects `--profile` outright.
+pub(crate) fn profile_start(args: &[String]) -> Option<Profile<'_>> {
     let path = opt(args, "--profile")?;
     mia_obs::set_enabled(true);
     drop(mia_obs::take_spans());
-    Some(path)
+    Some(Profile {
+        path,
+        dropped_before: mia_obs::spans_dropped(),
+    })
 }
 
 /// Drains the spans recorded since [`profile_start`] and writes them to
-/// `path` as Chrome trace JSON — runtime-only, or side by side with a
-/// schedule when the caller has one. Appends the confirmation line to
-/// `out`.
+/// the profile path as Chrome trace JSON — runtime-only, or side by side
+/// with a schedule when the caller has one. Appends the confirmation
+/// line to `out`, and says so when spans were dropped at the per-thread
+/// cap (the trace's `spans_dropped` metadata event carries the count too).
 pub(crate) fn profile_finish(
-    path: &str,
+    profile: Profile<'_>,
     schedule: Option<(&Problem, &mia_model::Schedule)>,
     out: &mut String,
 ) -> Result<(), CliError> {
     let spans = mia_obs::take_spans();
+    let dropped = mia_obs::spans_dropped() - profile.dropped_before;
     let trace = match schedule {
         Some((problem, schedule)) => {
-            mia_trace::to_chrome_trace_with_runtime(problem, schedule, &spans)
+            mia_trace::to_chrome_trace_with_runtime(problem, schedule, &spans, dropped)
         }
-        None => mia_trace::spans_to_chrome_trace(&spans),
+        None => mia_trace::spans_to_chrome_trace(&spans, dropped),
     };
+    let path = profile.path;
     fs::write(path, trace)?;
     out.push_str(&format!(
         "\nruntime profile written to {path} ({} spans; open in chrome://tracing or ui.perfetto.dev)\n",
         spans.len()
     ));
+    if dropped > 0 {
+        out.push_str(&format!(
+            "warning: {dropped} spans dropped at the cap of {} per thread; the profile is incomplete\n",
+            mia_obs::MAX_SPANS_PER_THREAD
+        ));
+    }
     Ok(())
 }
 
@@ -461,8 +480,8 @@ pub(crate) fn render_analysis(problem: &Problem, args: &[String]) -> Result<Stri
             "\nChrome trace written to {path} (open in chrome://tracing or ui.perfetto.dev)\n"
         ));
     }
-    if let Some(path) = profile {
-        profile_finish(path, Some((problem, &schedule)), &mut out)?;
+    if let Some(profile) = profile {
+        profile_finish(profile, Some((problem, &schedule)), &mut out)?;
     }
     Ok(out)
 }
@@ -575,11 +594,19 @@ fn dot_cmd(args: &[String]) -> Result<String, CliError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// This test process's scratch directory: the pid keeps two test
+    /// processes on one host out of each other's files.
+    pub(crate) fn scratch_dir() -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("mia-cli-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
@@ -619,8 +646,7 @@ mod tests {
 
     #[test]
     fn generate_analyze_simulate_round_trip() {
-        let dir = std::env::temp_dir().join("mia-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir();
         let path = dir.join("w.json");
         let path_str = path.to_str().unwrap().to_owned();
 
@@ -644,8 +670,7 @@ mod tests {
 
     #[test]
     fn analyze_surfaces_pool_engagement_only_with_threads() {
-        let dir = std::env::temp_dir().join("mia-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir();
         let path = dir.join("threads.json");
         let path_str = path.to_str().unwrap().to_owned();
         run(&args(&[
@@ -679,8 +704,7 @@ mod tests {
         // used to reject every `mia generate` workload with the paper's
         // default parameters (DemandExceedsWcet). The generator now caps
         // total demand at the WCET budget.
-        let dir = std::env::temp_dir().join("mia-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir();
         let path = dir.join("gen-sim.json");
         let path_str = path.to_str().unwrap().to_owned();
         for (family, seed) in [("LS16", "1"), ("NL4", "9"), ("LS4", "42")] {
@@ -698,8 +722,7 @@ mod tests {
     #[test]
     fn simulate_reports_soundness() {
         // Hand-build a sim-friendly workload (small demands).
-        let dir = std::env::temp_dir().join("mia-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir();
         let path = dir.join("sim.json");
         std::fs::write(
             &path,
@@ -727,8 +750,7 @@ mod tests {
 
     #[test]
     fn sdf_subcommand_runs_end_to_end() {
-        let dir = std::env::temp_dir().join("mia-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir();
         let path = dir.join("app.sdf");
         std::fs::write(
             &path,
@@ -750,8 +772,7 @@ mod tests {
 
     #[test]
     fn analyze_accepts_sdf3_and_rosace_inputs() {
-        let dir = std::env::temp_dir().join("mia-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir();
         let path = dir.join("app.sdf3");
         std::fs::write(&path, mia_sdf::to_sdf3(&mia_sdf::rosace(), "rosace")).unwrap();
         let path_str = path.to_str().unwrap().to_owned();
@@ -812,8 +833,7 @@ mod tests {
         // cannot derive iterations there, so it falls back to one
         // iteration (and, under `analyze`, still bounds the schedule) —
         // exactly what the flag did before the derivation existed.
-        let dir = std::env::temp_dir().join("mia-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir();
         let path = dir.join("bare.sdf");
         std::fs::write(&path, "actor a wcet=10\nactor b wcet=20\n").unwrap();
         let out = run(&args(&[
@@ -867,8 +887,7 @@ mod tests {
 
     #[test]
     fn malformed_sdf3_input_is_a_parse_error_with_line() {
-        let dir = std::env::temp_dir().join("mia-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir();
         let path = dir.join("bad.sdf3");
         std::fs::write(&path, "<sdf3>\n<actor name=\"a\"").unwrap();
         let err = run(&args(&["analyze", path.to_str().unwrap()])).unwrap_err();
@@ -881,8 +900,7 @@ mod tests {
 
     #[test]
     fn exec_subcommand_emits_tables() {
-        let dir = std::env::temp_dir().join("mia-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir();
         let path = dir.join("exec.json");
         let c_path = dir.join("tables.c");
         std::fs::write(
@@ -917,8 +935,7 @@ mod tests {
 
     #[test]
     fn analyze_chrome_export_writes_a_trace() {
-        let dir = std::env::temp_dir().join("mia-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir();
         let w_path = dir.join("chrome-w.json");
         let t_path = dir.join("trace.json");
         run(&args(&[
@@ -950,8 +967,7 @@ mod tests {
         // One test drives every `--profile` surface *sequentially*:
         // `take_spans` drains the process-global span buffers, so
         // concurrent profile runs would steal each other's spans.
-        let dir = std::env::temp_dir().join("mia-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir();
         let path = dir.join("profile.json");
         let path_str = path.to_str().unwrap().to_owned();
 
@@ -1004,8 +1020,7 @@ mod tests {
 
     #[test]
     fn malformed_json_is_parse_error() {
-        let dir = std::env::temp_dir().join("mia-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir();
         let path = dir.join("bad.json");
         std::fs::write(&path, "{ not json").unwrap();
         let err = run(&args(&["analyze", path.to_str().unwrap()])).unwrap_err();

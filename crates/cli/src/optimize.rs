@@ -254,8 +254,8 @@ pub(crate) fn optimize_loaded(
     };
     let rendered = render_dse_report(&report, format);
 
-    if let Some(path) = profile {
-        profile_finish(path, None, &mut summary)?;
+    if let Some(profile) = profile {
+        profile_finish(profile, None, &mut summary)?;
     }
     match opt(args, "-o").or_else(|| opt(args, "--out")) {
         Some(path) => {
@@ -421,8 +421,7 @@ mod tests {
 
     #[test]
     fn optimize_accepts_json_workloads_and_writes_reports() {
-        let dir = std::env::temp_dir().join("mia-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::commands::tests::scratch_dir();
         let w_path = dir.join("opt-w.json");
         let r_path = dir.join("opt-r.json");
         run(&args(&[

@@ -149,15 +149,19 @@ pub fn serve_cmd(args: &[String]) -> Result<String, CliError> {
     if let Some(path) = opt(args, "--port-file") {
         fs::write(path, bound.to_string())?;
     }
-    println!(
+    // The banner is informational: a closed stdout must not stop the
+    // daemon, so write errors are ignored.
+    let mut stdout = std::io::stdout();
+    let _ = writeln!(
+        stdout,
         "mia serve listening on {bound} (workers {}, max-pending {}, budget {})",
         config.resolved_workers(),
         config.max_pending,
         config
             .request_budget
             .map_or("none".to_owned(), |b| format!("{} ms", b.as_millis())),
-    );
-    let _ = std::io::stdout().flush();
+    )
+    .and_then(|()| stdout.flush());
     let stats = server.wait();
     Ok(format!(
         "mia serve stopped: {} connections, {} requests ({} ok, {} errors), \

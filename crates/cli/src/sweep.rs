@@ -84,8 +84,8 @@ pub fn sweep_cmd(args: &[String]) -> Result<String, CliError> {
         "completed: {}   timeouts: {timeouts}   failures: {failures}\n",
         report.points.len() - timeouts - failures
     ));
-    if let Some(path) = profile {
-        profile_finish(path, None, &mut summary)?;
+    if let Some(profile) = profile {
+        profile_finish(profile, None, &mut summary)?;
     }
 
     match out {
@@ -133,8 +133,7 @@ mod tests {
 
     #[test]
     fn sweep_writes_report_file() {
-        let dir = std::env::temp_dir().join("mia-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::commands::tests::scratch_dir();
         let path = dir.join("sweep-report.json");
         let path_str = path.to_str().unwrap().to_owned();
         let out = sweep_cmd(&args(&[
@@ -174,8 +173,7 @@ mod tests {
     fn rosace_and_sdf3_families_sweep_to_the_pinned_shape() {
         // The acceptance-criteria command shape:
         //   mia sweep --families rosace,sdf3:<path> --sizes … --csv
-        let dir = std::env::temp_dir().join("mia-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::commands::tests::scratch_dir();
         let path = dir.join("fixture.sdf3");
         std::fs::write(&path, mia_sdf::to_sdf3(&mia_sdf::rosace(), "rosace")).unwrap();
         let families = format!("rosace,sdf3:{}", path.to_str().unwrap());

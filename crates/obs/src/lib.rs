@@ -33,7 +33,10 @@ pub use metrics::{
     Counter, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot, NamedCounter, NamedHistogram,
     Registry, RegistrySnapshot,
 };
-pub use span::{now_ns, record_span, span, spans_dropped, take_spans, thread_id, SpanRecord};
+pub use span::{
+    now_ns, record_span, span, spans_dropped, take_spans, thread_id, SpanRecord,
+    MAX_SPANS_PER_THREAD,
+};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;

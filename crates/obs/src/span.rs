@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 
 /// Per-thread span cap: a runaway profiled run drops spans (counted in
 /// [`spans_dropped`]) instead of growing without bound.
-const MAX_SPANS_PER_THREAD: usize = 1 << 18;
+pub const MAX_SPANS_PER_THREAD: usize = 1 << 18;
 
 /// One completed timed phase.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -123,7 +123,9 @@ pub fn take_spans() -> Vec<SpanRecord> {
     all
 }
 
-/// Spans dropped because a thread hit its buffer cap.
+/// Spans dropped since the process started because a thread hit its
+/// buffer cap ([`MAX_SPANS_PER_THREAD`]). Never reset: subtract an earlier
+/// reading to count the drops of one run.
 pub fn spans_dropped() -> u64 {
     DROPPED.load(Ordering::Relaxed)
 }

@@ -86,6 +86,22 @@ struct MetaEvent<'a> {
 }
 
 #[derive(Serialize)]
+struct DroppedArgs {
+    spans_dropped: u64,
+    max_spans_per_thread: usize,
+}
+
+/// Metadata event saying the runtime timeline is incomplete.
+#[derive(Serialize)]
+struct DroppedEvent<'a> {
+    name: &'a str,
+    ph: &'a str,
+    pid: u32,
+    tid: u64,
+    args: DroppedArgs,
+}
+
+#[derive(Serialize)]
 struct SpanEvent<'a> {
     name: &'a str,
     cat: &'a str,
@@ -128,7 +144,7 @@ fn push_schedule_events(parts: &mut Vec<String>, problem: &Problem, schedule: &S
 }
 
 #[allow(clippy::cast_precision_loss)]
-fn push_span_events(parts: &mut Vec<String>, spans: &[SpanRecord]) {
+fn push_span_events(parts: &mut Vec<String>, spans: &[SpanRecord], dropped: u64) {
     parts.push(
         serde_json::to_string(&MetaEvent {
             name: "process_name",
@@ -141,6 +157,21 @@ fn push_span_events(parts: &mut Vec<String>, spans: &[SpanRecord]) {
         })
         .expect("meta event serializes"),
     );
+    if dropped > 0 {
+        parts.push(
+            serde_json::to_string(&DroppedEvent {
+                name: "spans_dropped",
+                ph: "M",
+                pid: RUNTIME_PID,
+                tid: 0,
+                args: DroppedArgs {
+                    spans_dropped: dropped,
+                    max_spans_per_thread: mia_obs::MAX_SPANS_PER_THREAD,
+                },
+            })
+            .expect("meta event serializes"),
+        );
+    }
     for span in spans {
         let event = SpanEvent {
             name: &span.name,
@@ -158,9 +189,14 @@ fn push_span_events(parts: &mut Vec<String>, spans: &[SpanRecord]) {
 /// Renders analyzer-runtime spans (from [`mia_obs::take_spans`]) as
 /// Chrome Trace Event JSON: one complete event per span on its
 /// recording thread's row, timestamps in fractional microseconds.
-pub fn spans_to_chrome_trace(spans: &[SpanRecord]) -> String {
+///
+/// `dropped` is the number of spans the recording run lost to the
+/// per-thread cap ([`mia_obs::MAX_SPANS_PER_THREAD`]); when non-zero, a
+/// `spans_dropped` metadata event carries it and the cap, so the trace
+/// says it is incomplete.
+pub fn spans_to_chrome_trace(spans: &[SpanRecord], dropped: u64) -> String {
     let mut parts = Vec::new();
-    push_span_events(&mut parts, spans);
+    push_span_events(&mut parts, spans, dropped);
     join_events(parts)
 }
 
@@ -168,10 +204,12 @@ pub fn spans_to_chrome_trace(spans: &[SpanRecord]) -> String {
 /// trace: the schedule under process 0 (cycles as microseconds), the
 /// analyzer runtime under process 1 (wall-clock microseconds), so
 /// `chrome://tracing` / Perfetto shows both timelines stacked.
+/// `dropped` is as in [`spans_to_chrome_trace`].
 pub fn to_chrome_trace_with_runtime(
     problem: &Problem,
     schedule: &Schedule,
     spans: &[SpanRecord],
+    dropped: u64,
 ) -> String {
     let mut parts = Vec::new();
     parts.push(
@@ -187,7 +225,7 @@ pub fn to_chrome_trace_with_runtime(
         .expect("meta event serializes"),
     );
     push_schedule_events(&mut parts, problem, schedule);
-    push_span_events(&mut parts, spans);
+    push_span_events(&mut parts, spans, dropped);
     join_events(parts)
 }
 
@@ -244,7 +282,7 @@ mod tests {
                 dur_ns: 250,
             },
         ];
-        let json = spans_to_chrome_trace(&spans);
+        let json = spans_to_chrome_trace(&spans, 0);
         let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
         let events = parsed.as_array().unwrap();
         // Metadata event first, then one complete event per span.
@@ -257,6 +295,23 @@ mod tests {
         assert_eq!(events[1]["dur"], 2000.0);
         assert_eq!(events[2]["tid"], 3);
         assert_eq!(events[2]["dur"], 0.25);
+    }
+
+    #[test]
+    fn dropped_spans_are_named_in_the_metadata() {
+        let parsed: serde_json::Value =
+            serde_json::from_str(&spans_to_chrome_trace(&[], 7)).unwrap();
+        let events = parsed.as_array().unwrap();
+        let dropped = events
+            .iter()
+            .find(|e| e["name"] == "spans_dropped")
+            .expect("spans_dropped metadata event");
+        assert_eq!(dropped["ph"], "M");
+        assert_eq!(dropped["args"]["spans_dropped"], 7);
+        assert_eq!(
+            dropped["args"]["max_spans_per_thread"],
+            mia_obs::MAX_SPANS_PER_THREAD
+        );
     }
 
     #[test]
@@ -276,7 +331,7 @@ mod tests {
             start_ns: 0,
             dur_ns: 10,
         }];
-        let json = to_chrome_trace_with_runtime(&p, &s, &spans);
+        let json = to_chrome_trace_with_runtime(&p, &s, &spans, 0);
         let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
         let events = parsed.as_array().unwrap();
         let pids: Vec<_> = events
