@@ -85,6 +85,11 @@ commands:
             load, analyze, simulate, optimize, sweep, ping, stats, metrics,
             shutdown)";
 
+/// The text `mia help` and `mia <command> --help` print.
+fn help() -> String {
+    format!("usage: {USAGE}")
+}
+
 /// Entry point used by the `mia` binary; returns the rendered output.
 ///
 /// # Errors
@@ -94,6 +99,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let Some((command, rest)) = args.split_first() else {
         return Err(CliError::Usage(USAGE.into()));
     };
+    // `mia <command> --help` asks for the usage, not for a run.
+    if rest.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(help());
+    }
     match command.as_str() {
         "generate" => generate(rest),
         "analyze" => analyze_cmd(rest),
@@ -105,7 +114,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         "dot" => dot_cmd(rest),
         "serve" => crate::serve::serve_cmd(rest),
         "client" => crate::serve::client_cmd(rest),
-        "help" | "--help" | "-h" => Ok(USAGE.to_owned()),
+        "help" | "--help" | "-h" => Ok(help()),
         other => Err(CliError::Usage(format!(
             "unknown command `{other}`\n{USAGE}"
         ))),
@@ -215,7 +224,11 @@ pub(crate) fn load_sdf_graph(path: &str) -> Result<mia_sdf::SdfGraph, CliError> 
     if path == "rosace" {
         return Ok(mia_sdf::rosace());
     }
-    let text = fs::read_to_string(path)?;
+    let text = {
+        let _span = mia_obs::span("workload.read");
+        fs::read_to_string(path)?
+    };
+    let _span = mia_obs::span("workload.parse");
     mia_sdf::parse_named(path, &text).map_err(|e| CliError::Parse(format!("{path}: {e}")))
 }
 
@@ -305,6 +318,7 @@ pub(crate) fn sdf_problem_full(
         .map_err(|_| CliError::Usage("--cores must be a number".into()))?;
     let graph = load_sdf_graph(path)?;
     let iterations = sdf_iterations(&graph, path, args)?;
+    let _span = mia_obs::span("model.build");
     let expansion = graph
         .expand(iterations)
         .map_err(|e| CliError::Parse(format!("{path}: {e}")))?;
@@ -337,9 +351,17 @@ pub(crate) fn load_problem(path: &str, args: &[String]) -> Result<Problem, CliEr
     if is_sdf_input(path) {
         return sdf_problem(path, args);
     }
-    let text = fs::read_to_string(path)?;
-    let file: WorkloadFile =
-        serde_json::from_str(&text).map_err(|e| CliError::Parse(format!("{path}: {e}")))?;
+    let text = {
+        let _span = mia_obs::span("workload.read");
+        fs::read_to_string(path)?
+    };
+    let file: WorkloadFile = {
+        let _span = mia_obs::span("workload.parse");
+        serde_json::from_str(&text).map_err(|e| CliError::Parse(format!("{path}: {e}")))?
+    };
+    // Free the text before the build, so the two are never held at once.
+    drop(text);
+    let _span = mia_obs::span("model.build");
     file.into_problem()
         .map_err(|e| CliError::Parse(format!("{path}: {e}")))
 }
@@ -373,8 +395,10 @@ fn generate(args: &[String]) -> Result<String, CliError> {
 fn analyze_cmd(args: &[String]) -> Result<String, CliError> {
     let path =
         positional(args).ok_or_else(|| CliError::Usage("analyze needs a workload file".into()))?;
+    // Armed before the load, so the profile covers the front end too.
+    let profile = profile_start(args);
     let problem = load_problem(path, args)?;
-    render_analysis(&problem, args)
+    render_analysis_profiled(&problem, args, profile)
 }
 
 /// Everything `analyze` does after the workload is loaded. Shared by
@@ -382,6 +406,19 @@ fn analyze_cmd(args: &[String]) -> Result<String, CliError> {
 /// `analyze` reply is byte-identical to the CLI's output for the same
 /// problem and flags.
 pub(crate) fn render_analysis(problem: &Problem, args: &[String]) -> Result<String, CliError> {
+    // Arm telemetry before the analysis dispatch: the engine resolves
+    // its metric handles once at run start, so the gate must be on by
+    // then for the run's spans to be recorded at all.
+    render_analysis_profiled(problem, args, profile_start(args))
+}
+
+/// [`render_analysis`] with telemetry already armed (or not) by the
+/// caller.
+fn render_analysis_profiled(
+    problem: &Problem,
+    args: &[String],
+    profile: Option<Profile<'_>>,
+) -> Result<String, CliError> {
     let arbiter = parse_arbiter(opt(args, "--arbiter"))?;
     let mut options = AnalysisOptions::new().task_deadlines(true);
     if let Some(d) = opt(args, "--deadline") {
@@ -390,10 +427,6 @@ pub(crate) fn render_analysis(problem: &Problem, args: &[String]) -> Result<Stri
             .map_err(|_| CliError::Usage("--deadline must be a number".into()))?;
         options = options.deadline(Cycles(d));
     }
-    // Arm telemetry before the analysis dispatch: the engine resolves
-    // its metric handles once at run start, so the gate must be on by
-    // then for the run's spans to be recorded at all.
-    let profile = profile_start(args);
     let algorithm = opt(args, "--algorithm").unwrap_or("incremental");
     let threads: usize = opt(args, "--threads")
         .unwrap_or("1")
@@ -438,6 +471,7 @@ pub(crate) fn render_analysis(problem: &Problem, args: &[String]) -> Result<Stri
             )))
         }
     };
+    let render_span = mia_obs::span("render");
     let mut out = String::new();
     out.push_str(&format!(
         "algorithm: {algorithm}   arbiter: {}   tasks: {}\n",
@@ -480,6 +514,7 @@ pub(crate) fn render_analysis(problem: &Problem, args: &[String]) -> Result<Stri
             "\nChrome trace written to {path} (open in chrome://tracing or ui.perfetto.dev)\n"
         ));
     }
+    drop(render_span);
     if let Some(profile) = profile {
         profile_finish(profile, Some((problem, &schedule)), &mut out)?;
     }
@@ -620,6 +655,20 @@ pub(crate) mod tests {
         let out = run(&args(&["help"])).unwrap();
         assert!(out.contains("generate"));
         assert!(out.contains("simulate"));
+    }
+
+    #[test]
+    fn help_after_a_command_prints_usage_instead_of_running() {
+        for command in ["analyze", "optimize", "serve"] {
+            for flag in ["--help", "-h"] {
+                let out = run(&args(&[command, flag])).unwrap();
+                assert_eq!(out, help(), "{command} {flag}");
+            }
+        }
+        // Also after other arguments: nothing is loaded or analysed.
+        let out = run(&args(&["analyze", "no-such-file.json", "--help"])).unwrap();
+        assert_eq!(out, help());
+        assert!(out.starts_with("usage: mia <command>"));
     }
 
     #[test]

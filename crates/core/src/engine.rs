@@ -309,7 +309,10 @@ where
     // Compact the graph into dense columns once: the loops below touch
     // only WCETs, release dates and successor lists, and at 10⁶ tasks the
     // `Task`/edge-list indirection of the full graph dominates them.
-    let table = TaskTable::new(graph);
+    let table = {
+        let _span = mia_obs::span("core.task_table");
+        TaskTable::new(graph)
+    };
 
     let mut stats = AnalysisStats::default();
     let mut timings: Vec<Option<TaskTiming>> = vec![None; n];

@@ -230,4 +230,29 @@ mod tests {
         assert_eq!(back.error.unwrap().kind, kind::OVERLOADED);
         assert!(back.ok.is_none());
     }
+
+    /// Reply and request frames, pinned byte for byte.
+    #[test]
+    fn frames_are_pinned() {
+        let mut body = ReplyBody::output("| task | n\"0\" |\n|---|\\|\n".into());
+        body.handle = Some(7);
+        body.tasks = Some(5);
+        body.cached = true;
+        assert_eq!(
+            String::from_utf8(Reply::ok(12, body).to_bytes()).unwrap(),
+            r#"{"id":12,"version":1,"ok":{"output":"| task | n\"0\" |\n|---|\\|\n","handle":7,"tasks":5,"cores":null,"cached":true},"error":null}"#
+        );
+        let err = Reply::error(0, kind::PARSE, "expected `,` or `}` at offset 9");
+        assert_eq!(
+            String::from_utf8(err.to_bytes()).unwrap(),
+            r#"{"id":0,"version":1,"ok":null,"error":{"kind":"parse","message":"expected `,` or `}` at offset 9"}}"#
+        );
+        let request = Request::new(3, "analyze")
+            .workload("rosace")
+            .args(&["--arbiter".into(), "mppa".into()]);
+        assert_eq!(
+            serde_json::to_string(&request).unwrap(),
+            r#"{"id":3,"version":1,"method":"analyze","workload":"rosace","handle":null,"args":["--arbiter","mppa"]}"#
+        );
+    }
 }

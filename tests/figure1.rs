@@ -96,3 +96,59 @@ fn single_bank_configuration_increases_contention() {
     assert!(s.makespan() >= per_core.makespan());
     assert!(s.total_interference() >= per_core.total_interference());
 }
+
+/// The schedule JSON `mia analyze --json` writes, pinned byte for byte.
+const SCHEDULE_JSON: &str = r#"[
+  {
+    "task": 0,
+    "name": "n0",
+    "core": 0,
+    "release": 0,
+    "wcet": 2,
+    "interference": 1,
+    "finish": 3
+  },
+  {
+    "task": 1,
+    "name": "n1",
+    "core": 1,
+    "release": 3,
+    "wcet": 2,
+    "interference": 1,
+    "finish": 6
+  },
+  {
+    "task": 2,
+    "name": "n2",
+    "core": 1,
+    "release": 6,
+    "wcet": 1,
+    "interference": 0,
+    "finish": 7
+  },
+  {
+    "task": 3,
+    "name": "n3",
+    "core": 2,
+    "release": 0,
+    "wcet": 3,
+    "interference": 2,
+    "finish": 5
+  },
+  {
+    "task": 4,
+    "name": "n4",
+    "core": 3,
+    "release": 5,
+    "wcet": 2,
+    "interference": 0,
+    "finish": 7
+  }
+]"#;
+
+#[test]
+fn schedule_json_is_pinned() {
+    let (p, _) = figure1();
+    let s = mia::analysis::analyze(&p, &RoundRobin::new()).unwrap();
+    assert_eq!(trace::schedule_json(&p, &s), SCHEDULE_JSON);
+}
