@@ -14,8 +14,8 @@ use mia_model::{CoreId, Cycles};
 /// This is the bound a slot-based arbiter (or a round-robin analysis that
 /// ignores interferer demand counts) yields. It always dominates
 /// [`RoundRobin`](crate::RoundRobin) — useful in the arbiter-pessimism
-/// ablation (A3 in `DESIGN.md`) and as the model for platforms where slot
-/// reservations are static.
+/// ablation (A3 of the `ablation` bench binary) and as the model for
+/// platforms where slot reservations are static.
 ///
 /// The bound is additive: each active interferer contributes `d_v` slots
 /// independently.

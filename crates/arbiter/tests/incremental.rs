@@ -1,0 +1,86 @@
+//! Property test of the incremental rule for additive arbiters.
+//!
+//! `mia-core`'s default per-core aggregation keeps one running bound per
+//! bank and, for an additive policy, updates it with
+//! [`additive_update`] each time one core's merged demand grows, instead
+//! of re-evaluating `IBUS` on the whole merged set. That is only sound if
+//! the running bound stays *equal* to the full evaluation after every
+//! update. This suite drives random sequences of `(core, accesses)` adds
+//! — repeated cores, zero-access adds, cores past the 16-core cluster —
+//! through every additive policy and checks exactly that.
+
+use std::collections::BTreeMap;
+
+use mia_arbiter::{Arbiter, InterfererDemand, Regulated, WeightedRoundRobin, REGISTRY};
+use mia_model::arbiter::additive_update;
+use mia_model::{CoreId, Cycles};
+use proptest::prelude::*;
+
+/// Cores an add draws from.
+const CORES: u32 = 64;
+
+/// Every additive [`REGISTRY`] policy with its command-line defaults,
+/// plus `wrr` and `regulated` with the drawn weights and cap.
+fn additive_policies(weights: Vec<u64>, budget: u64, period: u64) -> Vec<Box<dyn Arbiter>> {
+    let mut policies: Vec<Box<dyn Arbiter>> = REGISTRY
+        .iter()
+        .map(|entry| mia_arbiter::by_name(entry.canonical).expect("registry resolves"))
+        .filter(|p| p.is_additive())
+        .map(|p| p as Box<dyn Arbiter>)
+        .collect();
+    policies.push(Box::new(WeightedRoundRobin::new(weights)));
+    policies.push(Box::new(Regulated::new(budget, period)));
+    policies
+}
+
+/// A sequence of adds: half of the draws come from 8 cores so repeats
+/// are common; a third of the access counts are zero.
+fn adds() -> impl Strategy<Value = Vec<(u32, u64)>> {
+    let core = prop_oneof![0u32..8, 0u32..CORES];
+    let accesses = prop_oneof![Just(0u64), 1u64..600, 1u64..600];
+    proptest::collection::vec((core, accesses), 0..40)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn running_bound_equals_full_evaluation(
+        victim in 0u32..CORES,
+        demand in 0u64..600,
+        access in 1u64..4,
+        sequence in adds(),
+        weights in proptest::collection::vec(0u64..5, 0..CORES as usize),
+        budget in 0u64..16,
+        period in 1u64..256,
+    ) {
+        let victim = CoreId(victim);
+        let access = Cycles(access);
+        for p in additive_policies(weights.clone(), budget, period) {
+            // The merged per-core demand, ascending by core like the
+            // analysis's `DemandMerge::bank_set`.
+            let mut merged: BTreeMap<CoreId, u64> = BTreeMap::new();
+            let mut bound = Cycles::ZERO;
+            for &(core, accesses) in &sequence {
+                let core = CoreId(core);
+                if core == victim {
+                    continue;
+                }
+                let entry = merged.entry(core).or_insert(0);
+                let from = InterfererDemand { core, accesses: *entry };
+                *entry += accesses;
+                bound = additive_update(&*p, victim, demand, bound, from, accesses, access);
+
+                let set: Vec<InterfererDemand> = merged
+                    .iter()
+                    .map(|(&core, &accesses)| InterfererDemand { core, accesses })
+                    .collect();
+                let full = p.bank_interference(victim, demand, &set, access);
+                prop_assert_eq!(
+                    bound, full,
+                    "policy {} after adding {} accesses of {}", p.name(), accesses, core
+                );
+            }
+        }
+    }
+}

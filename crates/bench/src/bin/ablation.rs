@@ -1,9 +1,13 @@
-//! Ablation studies A1–A4 of `DESIGN.md` — the design choices the paper
-//! discusses in §II.C and §IV:
+//! Ablation studies A1–A4 — the design choices the paper discusses in
+//! §II.C and §IV:
 //!
-//! * `additivity` — exact per-bank recomputation vs the pairwise additive
-//!   fast path ("exploiting this could simplify and speed up the
-//!   algorithm", §II.C),
+//! * `additivity` — the exact per-core aggregation vs the pairwise
+//!   additive mode ("exploiting this could simplify and speed up the
+//!   algorithm", §II.C). Under the additive RR arbiter both already
+//!   update a bank's bound in O(1) per source (the exact mode swaps the
+//!   source core's term, see `Arbiter::is_additive`), so the time gap is
+//!   small; the makespan ratio shows what pairwise sums cost in
+//!   precision,
 //! * `aggregation` — per-core "single big task" merging vs pairwise task
 //!   sets (§II.C's hypothesis, on the baseline where it matters),
 //! * `arbiters` — pessimism and runtime of the five arbitration models,
@@ -47,7 +51,9 @@ fn main() {
     }
 }
 
-/// A1: exact aggregation vs pairwise additive fast path (incremental).
+/// A1: exact per-core aggregation vs the pairwise additive mode
+/// (incremental). RR is additive, so the exact mode is not a per-bank
+/// recomputation of the merged set here.
 fn additivity() {
     println!("\n## A1 — interference mode (incremental algorithm, LS16, RR arbiter)\n");
     println!("| n | exact (s) | pairwise (s) | makespan ratio (pairwise/exact) |");

@@ -8,10 +8,10 @@
 //! The alive set holds at most one task per core, so the bookkeeping
 //! lives in **per-core slots** ([`AliveSlot`]) that are allocated once at
 //! the start of an analysis and reused for every task the core executes.
-//! All per-task state — per-bank interference, the merged interferer
-//! demands ([`DemandMerge`]), the accounted-pairs set — is stored in
-//! dense generation-stamped buffers: opening a task on a slot is O(1) and
-//! the analysis hot path performs **no heap allocation at all** after the
+//! All per-task state — per-bank interference and the merged interferer
+//! demands ([`DemandMerge`]) — is stored in dense generation-stamped
+//! buffers of O(banks × cores): opening a task on a slot is O(1) and the
+//! analysis hot path performs **no heap allocation at all** after the
 //! slots are built. (The previous design rebuilt a `BTreeMap` +
 //! `Vec<InterfererDemand>` per task pair, which dominated the allocator
 //! beyond ~10k tasks.)
@@ -29,8 +29,28 @@
 //! different worker — while keeping the per-destination source order
 //! *identical* to the sequential pair order, so results are bit-exact in
 //! every mode.
+//!
+//! Every pair is offered exactly once by construction: a destination that
+//! just opened takes the lower newly opened cores first, then every other
+//! alive core *except* those, and an older destination takes only the
+//! newly opened cores. No per-task "already accounted" set is kept.
+//!
+//! # The accounting rule
+//!
+//! [`Accounting`] resolves once per run how a source's demand on a bank
+//! becomes interference (see [`InterferenceMode`]):
+//!
+//! * non-additive arbiter (`mppa`, `fp`): the source is merged into the
+//!   per-core "single big task" and `IBUS` is re-evaluated on the whole
+//!   merged set of the bank, O(cores) per update;
+//! * additive arbiter ([`Arbiter::is_additive`]): the bank's bound is a
+//!   sum of one term per interfering core, so only the source core's term
+//!   changes — `old − IBUS({c: prev}) + IBUS({c: prev + d})`, O(1) per
+//!   update and exact in integer arithmetic;
+//! * [`InterferenceMode::PairwiseAdditive`]: each source task adds its own
+//!   term, without merging.
 
-use mia_model::arbiter::Arbiter;
+use mia_model::arbiter::{additive_update, Arbiter, InterfererDemand};
 use mia_model::scratch::DemandMerge;
 use mia_model::{BankId, CoreId, Cycles, Problem, TaskId};
 
@@ -57,14 +77,52 @@ pub(crate) struct AliveSlot {
     /// Aggregated interferer demand per bank and core
     /// (`τ.interfers_with[b]`, merged per core following §II.C).
     merge: DemandMerge,
-    /// Generation stamp per task id: the accounted-pairs set.
-    accounted: Vec<u32>,
+}
+
+/// How a run turns one source's bank demand into interference: the
+/// [`InterferenceMode`] combined with [`Arbiter::is_additive`], resolved
+/// once per run so the per-bank hot path makes no virtual call to decide.
+/// See the [module documentation](self).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Accounting {
+    rule: Rule,
+    /// The platform's cycles per access (`IBUS`'s `access_cycles`).
+    access: Cycles,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Rule {
+    /// Merge per core, re-evaluate `IBUS` on the bank's merged set.
+    Merged,
+    /// Merge per core, swap the source core's additive term.
+    MergedAdditive,
+    /// One additive term per source task, no merging.
+    Pairwise,
+}
+
+impl Accounting {
+    /// The rule for analysing `problem` under `arbiter` in `mode`.
+    pub(crate) fn new<A: Arbiter + ?Sized>(
+        problem: &Problem,
+        arbiter: &A,
+        mode: InterferenceMode,
+    ) -> Self {
+        let rule = match mode {
+            InterferenceMode::AggregateByCore if arbiter.is_additive() => Rule::MergedAdditive,
+            InterferenceMode::AggregateByCore => Rule::Merged,
+            InterferenceMode::PairwiseAdditive => Rule::Pairwise,
+        };
+        Accounting {
+            rule,
+            access: problem.platform().access_cycles(),
+        }
+    }
 }
 
 impl AliveSlot {
-    /// Creates an empty slot for `core` on a `banks × cores` platform
-    /// analysing `tasks` tasks. All buffers are sized here, once.
-    pub(crate) fn new(core: CoreId, banks: usize, cores: usize, tasks: usize) -> Self {
+    /// Creates an empty slot for `core` on a `banks × cores` platform.
+    /// All buffers are sized here, once.
+    pub(crate) fn new(core: CoreId, banks: usize, cores: usize) -> Self {
         AliveSlot {
             core,
             busy: false,
@@ -75,7 +133,6 @@ impl AliveSlot {
             bank_inter: vec![Cycles::ZERO; banks],
             bank_stamp: vec![0; banks],
             merge: DemandMerge::new(banks, cores),
-            accounted: vec![0; tasks],
         }
     }
 
@@ -83,9 +140,8 @@ impl AliveSlot {
     pub(crate) fn for_problem(problem: &Problem) -> Vec<AliveSlot> {
         let cores = problem.mapping().cores();
         let banks = problem.platform().banks();
-        let tasks = problem.len();
         (0..cores)
-            .map(|c| AliveSlot::new(CoreId::from_index(c), banks, cores, tasks))
+            .map(|c| AliveSlot::new(CoreId::from_index(c), banks, cores))
             .collect()
     }
 
@@ -95,7 +151,6 @@ impl AliveSlot {
         if self.generation == u32::MAX {
             self.generation = 0;
             self.bank_stamp.iter_mut().for_each(|s| *s = 0);
-            self.accounted.iter_mut().for_each(|s| *s = 0);
         }
         self.generation += 1;
         self.busy = true;
@@ -116,13 +171,11 @@ impl AliveSlot {
     }
 
     /// Freezes the busy slot's interference state for a checkpoint. Only
-    /// current-generation entries are captured; the accounted-pairs set is
-    /// deliberately *not* part of the snapshot — every source task enters
-    /// the alive set exactly once per run, so a source accounted in the
-    /// prefix can never be offered to this destination again in the
-    /// resumed suffix, and within one accounting call the fresh
-    /// generation installed by [`AliveSlot::restore`] deduplicates as
-    /// usual.
+    /// current-generation entries are captured. No record of which
+    /// sources were accounted is needed: every source task enters the
+    /// alive set exactly once per run, and [`account_destination`] offers
+    /// each pair exactly once, so a source accounted in the prefix is never
+    /// offered to this destination again in the resumed suffix.
     pub(crate) fn snapshot(&self) -> SlotSnapshot {
         debug_assert!(self.busy, "snapshotting an empty slot");
         SlotSnapshot {
@@ -153,15 +206,14 @@ impl AliveSlot {
     }
 
     /// Accounts `src_task` (alive on `src_core`) as an interferer of this
-    /// slot's task — one direction of Algorithm 1's lines 17–23. A pair
-    /// already accounted is skipped (line 21's membership test).
+    /// slot's task — one direction of Algorithm 1's lines 17–23. Callers
+    /// offer each pair once (see [`account_destination`]).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn account<A, O>(
         &mut self,
         problem: &Problem,
         arbiter: &A,
-        mode: InterferenceMode,
-        access: Cycles,
+        acct: Accounting,
         src_task: TaskId,
         src_core: CoreId,
         observer: &mut O,
@@ -171,56 +223,57 @@ impl AliveSlot {
         O: Observer + ?Sized,
     {
         debug_assert!(self.busy, "accounting on an empty slot");
-        if self.accounted[src_task.index()] == self.generation {
-            return;
-        }
-        self.accounted[src_task.index()] = self.generation;
         stats.pairs_considered += 1;
 
-        let dest_demand = problem.demand(self.task);
-        let src_demand = problem.demand(src_task);
-        for (bank, d_src) in src_demand.iter() {
-            let d_dest = dest_demand.get(bank);
-            if d_dest == 0 {
-                continue; // no shared bank: no interference (line 20)
+        // One merge pass over the two bank-sorted demand vectors: only
+        // shared banks interfere (line 20).
+        let mut dest_demand = problem.demand(self.task).iter().peekable();
+        for (bank, d_src) in problem.demand(src_task).iter() {
+            while dest_demand.next_if(|&(b, _)| b < bank).is_some() {}
+            let Some(&(dest_bank, d_dest)) = dest_demand.peek() else {
+                break;
+            };
+            if dest_bank != bank || d_dest == 0 {
+                continue;
             }
-            match mode {
-                InterferenceMode::AggregateByCore => {
+            let old = self.bank_inter_get(bank);
+            let new_inter = match acct.rule {
+                Rule::Merged => {
                     // Merge into the per-core "single big task" and
-                    // re-evaluate IBUS on the whole set (supports
-                    // non-additive arbiters).
+                    // re-evaluate IBUS on the whole set.
                     self.merge.add(bank, src_core, d_src);
-                    let new_inter = arbiter.bank_interference(
+                    arbiter.bank_interference(
                         self.core,
                         d_dest,
                         self.merge.bank_set(bank),
-                        access,
-                    );
-                    stats.ibus_calls += 1;
-                    let old = self.bank_inter_get(bank);
-                    self.bank_inter_set(bank, new_inter);
-                    // Monotonicity is an arbiter contract; clamp
-                    // defensively so a faulty arbiter cannot make the
-                    // accounting underflow.
-                    let new_inter = new_inter.max(old);
-                    self.total_inter = self.total_inter + new_inter - old;
+                        acct.access,
+                    )
                 }
-                InterferenceMode::PairwiseAdditive => {
-                    let delta = arbiter.bank_interference(
-                        self.core,
-                        d_dest,
-                        &[mia_model::arbiter::InterfererDemand {
-                            core: src_core,
-                            accesses: d_src,
-                        }],
-                        access,
-                    );
-                    stats.ibus_calls += 1;
-                    let old = self.bank_inter_get(bank);
-                    self.bank_inter_set(bank, old + delta);
-                    self.total_inter += delta;
+                Rule::MergedAdditive => {
+                    // Additive: only the source core's term changes.
+                    let prev = self.merge.get(bank, src_core);
+                    self.merge.add(bank, src_core, d_src);
+                    let from = InterfererDemand {
+                        core: src_core,
+                        accesses: prev,
+                    };
+                    additive_update(arbiter, self.core, d_dest, old, from, d_src, acct.access)
                 }
-            }
+                Rule::Pairwise => {
+                    // Every source task adds a term of its own.
+                    let from = InterfererDemand {
+                        core: src_core,
+                        accesses: 0,
+                    };
+                    additive_update(arbiter, self.core, d_dest, old, from, d_src, acct.access)
+                }
+            };
+            stats.ibus_calls += 1;
+            self.bank_inter_set(bank, new_inter);
+            // Monotonicity is an arbiter contract; clamp defensively so a
+            // faulty arbiter cannot make the accounting underflow.
+            let new_inter = new_inter.max(old);
+            self.total_inter = self.total_inter + new_inter - old;
             observer.on_interference(self.task, bank, self.total_inter);
         }
     }
@@ -244,15 +297,15 @@ impl AliveSlot {
 /// The source order [`account_newly`] uses for one destination: first the
 /// newly opened tasks on lower-numbered cores, then — only when the
 /// destination itself just opened — every other alive core in ascending
-/// order. This is exactly the per-destination subsequence of the
-/// sequential pair order of Algorithm 1's lines 17–23, so accounting
-/// destinations in any order (or in parallel) yields bit-identical slots.
+/// order, skipping the ones the first loop took. This is exactly the
+/// per-destination subsequence of the sequential pair order of
+/// Algorithm 1's lines 17–23, each pair once, so accounting destinations
+/// in any order (or in parallel) yields bit-identical slots.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn account_destination<A, O>(
     problem: &Problem,
     arbiter: &A,
-    mode: InterferenceMode,
-    access: Cycles,
+    acct: Accounting,
     dest: &mut AliveSlot,
     dest_idx: usize,
     dest_is_new: bool,
@@ -264,52 +317,37 @@ pub(crate) fn account_destination<A, O>(
     A: Arbiter + ?Sized,
     O: Observer + ?Sized,
 {
+    let mut account = |dest: &mut AliveSlot, core: usize, observer: &mut O| {
+        let src = occupants[core].expect("source core is occupied");
+        dest.account(
+            problem,
+            arbiter,
+            acct,
+            src,
+            CoreId::from_index(core),
+            observer,
+            stats,
+        );
+    };
     if dest_is_new {
-        for &n in newly.iter().take_while(|&&n| n < dest_idx) {
-            let src = occupants[n].expect("newly opened core is occupied");
-            dest.account(
-                problem,
-                arbiter,
-                mode,
-                access,
-                src,
-                CoreId::from_index(n),
-                observer,
-                stats,
-            );
+        let earlier = &newly[..newly.partition_point(|&n| n < dest_idx)];
+        for &n in earlier {
+            account(dest, n, observer);
         }
+        // `earlier` is ascending, so one cursor over it finds the cores
+        // to skip.
+        let mut taken = earlier.iter().peekable();
         for (other, occ) in occupants.iter().enumerate() {
-            let Some(src) = *occ else { continue };
-            if other == dest_idx {
+            if taken.next_if_eq(&&other).is_some() || occ.is_none() || other == dest_idx {
                 continue;
             }
-            dest.account(
-                problem,
-                arbiter,
-                mode,
-                access,
-                src,
-                CoreId::from_index(other),
-                observer,
-                stats,
-            );
+            account(dest, other, observer);
         }
     } else {
         for &n in newly {
-            if n == dest_idx {
-                continue;
+            if n != dest_idx {
+                account(dest, n, observer);
             }
-            let src = occupants[n].expect("newly opened core is occupied");
-            dest.account(
-                problem,
-                arbiter,
-                mode,
-                access,
-                src,
-                CoreId::from_index(n),
-                observer,
-                stats,
-            );
         }
     }
 }
@@ -325,8 +363,7 @@ pub(crate) fn account_destination<A, O>(
 pub(crate) fn account_newly<A, O>(
     problem: &Problem,
     arbiter: &A,
-    mode: InterferenceMode,
-    access: Cycles,
+    acct: Accounting,
     slots: &mut [AliveSlot],
     newly: &[usize],
     occupants: &mut Vec<Option<TaskId>>,
@@ -354,8 +391,7 @@ pub(crate) fn account_newly<A, O>(
         account_destination(
             problem,
             arbiter,
-            mode,
-            access,
+            acct,
             dest,
             dest_idx,
             dest_is_new,

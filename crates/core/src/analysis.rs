@@ -8,7 +8,7 @@
 use mia_model::arbiter::Arbiter;
 use mia_model::{Cycles, Problem, Schedule, TaskId, TaskTable};
 
-use crate::alive::{account_newly, AliveSlot};
+use crate::alive::{account_newly, Accounting, AliveSlot};
 use crate::checkpoint::{Checkpoint, CheckpointLog, SlotSnapshot};
 use crate::engine::{
     resume_cursor, run_cursor, run_cursor_recorded, scan_next_finish, Resume, SlotView, StepEngine,
@@ -263,8 +263,7 @@ where
 pub(crate) struct ScanEngine<'p, A: ?Sized> {
     problem: &'p Problem,
     arbiter: &'p A,
-    mode: crate::InterferenceMode,
-    access: Cycles,
+    acct: Accounting,
     /// The alive set `A`: one reusable slot per core (see `alive.rs`).
     pub(crate) slots: Vec<AliveSlot>,
     // Reusable per-step buffers (no allocation inside the loop).
@@ -283,8 +282,7 @@ where
         ScanEngine {
             problem,
             arbiter,
-            mode: options.interference_mode,
-            access: problem.platform().access_cycles(),
+            acct: Accounting::new(problem, arbiter, options.interference_mode),
             slots: AliveSlot::for_problem(problem),
             occupants: Vec::with_capacity(cores),
             dirty: Vec::with_capacity(cores),
@@ -334,8 +332,7 @@ where
         account_newly(
             self.problem,
             self.arbiter,
-            self.mode,
-            self.access,
+            self.acct,
             &mut self.slots,
             newly,
             &mut self.occupants,
@@ -405,8 +402,8 @@ mod tests {
         }
     }
 
-    /// The paper's Figure 1 instance (see DESIGN.md §3 for the edge
-    /// reconstruction).
+    /// The paper's Figure 1 instance (the edges are reconstructed as in
+    /// `tests/figure1.rs`).
     fn figure1() -> Problem {
         let mut g = TaskGraph::new();
         let n0 = g.add_task(Task::builder("n0").wcet(Cycles(2)));

@@ -69,12 +69,13 @@ impl DriveProfile {
         prof.map(|_| mia_obs::now_ns())
     }
 
-    /// Records a finished phase into its histogram and as a span.
+    /// Records a finished phase into its histogram and as a step span
+    /// (kept out of the buffer reserve for run-level spans).
     fn end(&self, name: &'static str, hist: &mia_obs::Histogram, start: Option<u64>) {
         if let Some(start_ns) = start {
             let dur_ns = mia_obs::now_ns().saturating_sub(start_ns);
             hist.observe(dur_ns);
-            mia_obs::record_span(name, start_ns, dur_ns);
+            mia_obs::record_step_span(name, start_ns, dur_ns);
         }
     }
 }

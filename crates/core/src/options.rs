@@ -13,9 +13,12 @@ use crate::CancelToken;
 #[non_exhaustive]
 pub enum InterferenceMode {
     /// Merge all interfering tasks of a core into "a single big task"
-    /// (paper's conservative hypothesis) and re-evaluate `IBUS` on the
-    /// aggregated set each time it grows. Exact for every arbiter,
-    /// including non-additive ones. The default.
+    /// (paper's conservative hypothesis) and keep `IBUS` of the
+    /// aggregated set up to date each time it grows. Exact for every
+    /// arbiter, including non-additive ones, which are re-evaluated on the
+    /// whole set; for an [additive](mia_model::Arbiter::is_additive) one
+    /// only the grown core's term is swapped, O(1) per update. The
+    /// default.
     #[default]
     AggregateByCore,
     /// Add the pairwise `IBUS` contribution of each new interferer without
@@ -23,7 +26,9 @@ pub enum InterferenceMode {
     /// task per core this matches [`InterferenceMode::AggregateByCore`];
     /// otherwise it is a sound but more pessimistic upper bound (pairwise
     /// sums dominate aggregated bounds for the monotone arbiters shipped
-    /// in `mia-arbiter`). Faster: no set bookkeeping, no recomputation.
+    /// in `mia-arbiter`). It skips the per-core merge, which only saves
+    /// time against [`InterferenceMode::AggregateByCore`] under a
+    /// non-additive arbiter.
     PairwiseAdditive,
 }
 

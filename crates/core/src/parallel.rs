@@ -101,12 +101,12 @@ use std::time::{Duration, Instant};
 use mia_model::arbiter::Arbiter;
 use mia_model::{BankId, Cycles, Problem, Schedule, TaskId, TaskTable};
 
-use crate::alive::{account_destination, AliveSlot};
+use crate::alive::{account_destination, Accounting, AliveSlot};
 use crate::checkpoint::{Checkpoint, CheckpointLog, SlotSnapshot};
 use crate::engine::{resume_cursor, run_cursor, scan_next_finish, Resume, SlotView, StepEngine};
 use crate::{
-    AnalysisError, AnalysisOptions, AnalysisReport, AnalysisStats, InterferenceMode, NoopObserver,
-    Observer, ParallelInfo,
+    AnalysisError, AnalysisOptions, AnalysisReport, AnalysisStats, NoopObserver, Observer,
+    ParallelInfo,
 };
 
 /// A shared alive slot. Mutable access is disciplined by the epoch
@@ -287,13 +287,13 @@ fn prof_begin(on: bool) -> Option<u64> {
     on.then(mia_obs::now_ns)
 }
 
-/// Finishes a timed section: one histogram observation plus a span for
-/// the Chrome-trace export.
+/// Finishes a timed section: one histogram observation plus a step span
+/// for the Chrome-trace export.
 fn prof_end(name: &'static str, hist: &mia_obs::Histogram, started: Option<u64>) {
     if let Some(start) = started {
         let dur = mia_obs::now_ns().saturating_sub(start);
         hist.observe(dur);
-        mia_obs::record_span(name, start, dur);
+        mia_obs::record_step_span(name, start, dur);
     }
 }
 
@@ -538,8 +538,7 @@ where
     O: Observer + ?Sized,
 {
     let cores = problem.mapping().cores();
-    let mode = options.interference_mode;
-    let access = problem.platform().access_cycles();
+    let acct = Accounting::new(problem, arbiter, options.interference_mode);
     // The driver works partition `workers − 1` itself.
     let spawned = workers - 1;
 
@@ -574,9 +573,7 @@ where
             let shared = &shared;
             let slots = slots.as_slice();
             let handle = scope.spawn(move || {
-                worker_loop(
-                    problem, arbiter, mode, access, shared, slots, worker_id, workers,
-                );
+                worker_loop(problem, arbiter, acct, shared, slots, worker_id, workers);
             });
             threads.push(handle.thread().clone());
         }
@@ -606,8 +603,7 @@ where
             let mut engine = ParallelEngine {
                 problem,
                 arbiter,
-                mode,
-                access,
+                acct,
                 slots: &slots,
                 pool,
                 engage,
@@ -690,8 +686,7 @@ where
 struct ParallelEngine<'a, A: ?Sized> {
     problem: &'a Problem,
     arbiter: &'a A,
-    mode: InterferenceMode,
-    access: Cycles,
+    acct: Accounting,
     slots: &'a [SlotCell],
     pool: Pool<'a>,
     engage: Engagement,
@@ -736,8 +731,7 @@ where
             account_destination(
                 self.problem,
                 self.arbiter,
-                self.mode,
-                self.access,
+                self.acct,
                 dest,
                 core,
                 dest_is_new,
@@ -778,8 +772,7 @@ where
         account_partition(
             self.problem,
             self.arbiter,
-            self.mode,
-            self.access,
+            self.acct,
             self.slots,
             cmd,
             self.pool.driver_partition(),
@@ -941,8 +934,7 @@ impl Observer for EventRecorder<'_> {
 fn account_partition<A>(
     problem: &Problem,
     arbiter: &A,
-    mode: InterferenceMode,
-    access: Cycles,
+    acct: Accounting,
     slots: &[SlotCell],
     cmd: &Cmd,
     partition: usize,
@@ -966,8 +958,7 @@ fn account_partition<A>(
                 account_destination(
                     problem,
                     arbiter,
-                    mode,
-                    access,
+                    acct,
                     dest,
                     core,
                     dest_is_new,
@@ -980,8 +971,7 @@ fn account_partition<A>(
             None => account_destination(
                 problem,
                 arbiter,
-                mode,
-                access,
+                acct,
                 dest,
                 core,
                 dest_is_new,
@@ -1023,8 +1013,7 @@ fn wait_for_phase(shared: &Shared, last: u64) -> u64 {
 fn worker_loop<A>(
     problem: &Problem,
     arbiter: &A,
-    mode: InterferenceMode,
-    access: Cycles,
+    acct: Accounting,
     shared: &Shared,
     slots: &[SlotCell],
     worker_id: usize,
@@ -1064,7 +1053,7 @@ fn worker_loop<A>(
                         unsafe { &mut *shared.outs[worker_id].0.get() }
                     });
                     account_partition(
-                        problem, arbiter, mode, access, slots, cmd, worker_id, partitions, events,
+                        problem, arbiter, acct, slots, cmd, worker_id, partitions, events,
                         &mut stats,
                     );
                     if let Some(p) = &prof {

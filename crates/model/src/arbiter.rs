@@ -53,15 +53,83 @@ pub trait Arbiter {
 
     /// True if the policy is *additive*: the interference of a set equals
     /// the sum of the pairwise interferences
-    /// (`IBUS(v, {a, b}) = IBUS(v, {a}) + IBUS(v, {b})`).
+    /// (`IBUS(v, {a, b}) = IBUS(v, {a}) + IBUS(v, {b})`), exactly, in
+    /// integer arithmetic, for every victim demand.
     ///
     /// The paper notes (§II.C) that "some bus arbiters have this additivity
     /// property, and exploiting this could simplify and speed up the
-    /// algorithm"; `mia-core` uses it as an incremental fast path
-    /// (ablation A1 in `DESIGN.md`).
+    /// algorithm". `mia-core` does: in its default per-core aggregation
+    /// it reads this flag once per run, and for an additive policy it
+    /// updates a bank's bound with [`additive_update`] when one core's
+    /// merged demand grows, instead of re-evaluating the whole merged set.
+    /// The results are bit-identical only if the claim holds exactly; the
+    /// property tests in `mia-arbiter` check it for every shipped policy.
     fn is_additive(&self) -> bool {
         false
     }
+}
+
+/// The bound of an additive arbiter after one interfering core's merged
+/// demand grows by `added` accesses.
+///
+/// `bound` is `IBUS(victim, demand, S)` for the set `S` before the
+/// update, and `from` is the core's entry in `S` (`accesses: 0` when it
+/// was not in `S`). Only that core's term of the sum changes, so the new
+/// bound is
+///
+/// ```text
+/// bound − IBUS(victim, demand, {from}) + IBUS(victim, demand, {from + added})
+/// ```
+///
+/// at most two `IBUS` calls on one interferer each, whatever the size of
+/// `S`; a term with zero accesses is zero and is not evaluated. Exact for
+/// an [`Arbiter::is_additive`] policy; meaningless for any other.
+///
+/// # Example
+///
+/// ```
+/// use mia_model::arbiter::{additive_update, Arbiter, InterfererDemand};
+/// use mia_model::{CoreId, Cycles};
+///
+/// /// Round-robin: Σ min(d_v, d_j) access slots.
+/// struct Rr;
+/// impl Arbiter for Rr {
+///     fn name(&self) -> &str { "rr" }
+///     fn bank_interference(&self, _: CoreId, d: u64, s: &[InterfererDemand], a: Cycles) -> Cycles {
+///         a * s.iter().map(|i| d.min(i.accesses)).sum::<u64>()
+///     }
+///     fn is_additive(&self) -> bool { true }
+/// }
+///
+/// // Victim with 10 accesses; core 1 already has 4, core 2 has 7.
+/// let bound = Cycles(4 + 7);
+/// let from = InterfererDemand { core: CoreId(1), accesses: 4 };
+/// // Core 1 grows by 9 to 13 accesses: its term goes from 4 to 10.
+/// assert_eq!(additive_update(&Rr, CoreId(0), 10, bound, from, 9, Cycles(1)), Cycles(17));
+/// ```
+#[inline]
+pub fn additive_update<A: Arbiter + ?Sized>(
+    arbiter: &A,
+    victim: CoreId,
+    demand: u64,
+    bound: Cycles,
+    from: InterfererDemand,
+    added: u64,
+    access_cycles: Cycles,
+) -> Cycles {
+    let term = |accesses: u64| {
+        if accesses == 0 {
+            return Cycles::ZERO;
+        }
+        let one = [InterfererDemand {
+            core: from.core,
+            accesses,
+        }];
+        arbiter.bank_interference(victim, demand, &one, access_cycles)
+    };
+    // Saturating: a policy that wrongly claims additivity must not make
+    // the subtraction underflow.
+    bound.saturating_sub(term(from.accesses)) + term(from.accesses + added)
 }
 
 impl<A: Arbiter + ?Sized> Arbiter for &A {

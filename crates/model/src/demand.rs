@@ -157,7 +157,7 @@ pub enum BankPolicy {
     /// word into the **consumer's** core bank, and a consumer reads each
     /// word from **its own** core bank. Private accesses go to the task's
     /// own core bank. This is the model that reproduces the paper's
-    /// Figure 1 (see `DESIGN.md` §3).
+    /// Figure 1 (`tests/figure1.rs` pins it).
     PerCoreBank,
     /// All accesses, whatever their origin, target bank 0 — the
     /// single-shared-bank configuration used in the paper's §II.A

@@ -34,8 +34,8 @@ pub use metrics::{
     Registry, RegistrySnapshot,
 };
 pub use span::{
-    now_ns, record_span, span, spans_dropped, take_spans, thread_id, SpanRecord,
-    MAX_SPANS_PER_THREAD,
+    now_ns, record_span, record_step_span, span, spans_dropped, take_spans, thread_id, SpanRecord,
+    MAX_SPANS_PER_THREAD, STEP_SPAN_RESERVE,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -22,6 +22,12 @@ use serde::{Deserialize, Serialize};
 /// [`spans_dropped`]) instead of growing without bound.
 pub const MAX_SPANS_PER_THREAD: usize = 1 << 18;
 
+/// Records kept free of per-step spans in every thread's buffer:
+/// [`record_step_span`] stops at `MAX_SPANS_PER_THREAD − STEP_SPAN_RESERVE`,
+/// so the few run-level spans that close after a long run (the run
+/// itself, the render) still fit.
+pub const STEP_SPAN_RESERVE: usize = 4096;
+
 /// One completed timed phase.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpanRecord {
@@ -71,7 +77,9 @@ fn buffers() -> &'static Mutex<Vec<SharedBuffer>> {
 
 static DROPPED: AtomicU64 = AtomicU64::new(0);
 
-fn with_buffer(f: impl FnOnce(&mut Vec<SpanRecord>)) {
+/// Pushes `record` into this thread's buffer unless it already holds
+/// `limit` records, in which case the drop is counted.
+fn push_record(record: SpanRecord, limit: usize) {
     thread_local! {
         static BUF: OnceLock<SharedBuffer> = const { OnceLock::new() };
     }
@@ -85,10 +93,10 @@ fn with_buffer(f: impl FnOnce(&mut Vec<SpanRecord>)) {
             buf
         });
         let mut records = buf.lock().expect("span buffer");
-        if records.len() >= MAX_SPANS_PER_THREAD {
+        if records.len() >= limit {
             DROPPED.fetch_add(1, Ordering::Relaxed);
         } else {
-            f(&mut records);
+            records.push(record);
         }
     });
 }
@@ -97,18 +105,34 @@ fn with_buffer(f: impl FnOnce(&mut Vec<SpanRecord>)) {
 /// only known after the fact, like a queue wait measured at dequeue).
 /// No-op while the global gate is off.
 pub fn record_span(name: &str, start_ns: u64, dur_ns: u64) {
+    record_limited(name, start_ns, dur_ns, MAX_SPANS_PER_THREAD);
+}
+
+/// [`record_span`] for a phase that repeats once per analysis step (the
+/// cursor's close/open, account and advance, a pool handoff): recorded
+/// only while the buffer has more than [`STEP_SPAN_RESERVE`] records
+/// free, so a long run cannot crowd out its own run-level spans. Drops
+/// are counted in [`spans_dropped`] like any other.
+pub fn record_step_span(name: &str, start_ns: u64, dur_ns: u64) {
+    record_limited(
+        name,
+        start_ns,
+        dur_ns,
+        MAX_SPANS_PER_THREAD - STEP_SPAN_RESERVE,
+    );
+}
+
+fn record_limited(name: &str, start_ns: u64, dur_ns: u64, limit: usize) {
     if !crate::enabled() {
         return;
     }
-    let tid = thread_id();
-    with_buffer(|records| {
-        records.push(SpanRecord {
-            name: name.to_owned(),
-            tid,
-            start_ns,
-            dur_ns,
-        });
-    });
+    let record = SpanRecord {
+        name: name.to_owned(),
+        tid: thread_id(),
+        start_ns,
+        dur_ns,
+    };
+    push_record(record, limit);
 }
 
 /// Drains every thread's buffered spans, sorted by start time. Spans
@@ -145,15 +169,13 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(start_ns) = self.start_ns {
             let dur_ns = now_ns().saturating_sub(start_ns);
-            let tid = thread_id();
-            with_buffer(|records| {
-                records.push(SpanRecord {
-                    name: self.name.to_owned(),
-                    tid,
-                    start_ns,
-                    dur_ns,
-                });
-            });
+            let record = SpanRecord {
+                name: self.name.to_owned(),
+                tid: thread_id(),
+                start_ns,
+                dur_ns,
+            };
+            push_record(record, MAX_SPANS_PER_THREAD);
         }
     }
 }
@@ -238,6 +260,39 @@ mod tests {
             .expect("worker span");
         assert_ne!(worker.tid, main_tid);
         assert!(spans.iter().any(|s| s.name == "test.alive"));
+    }
+
+    #[test]
+    fn step_spans_leave_room_for_run_level_spans() {
+        let _serial = crate::test_gate_lock();
+        crate::set_enabled(true);
+        // A fresh thread has a fresh buffer, so the fill does not depend
+        // on what other tests left behind.
+        let spans = std::thread::spawn(|| {
+            let tid = thread_id();
+            let dropped_before = spans_dropped();
+            let started = now_ns();
+            {
+                let _run = span("test.run_level");
+                for _ in 0..MAX_SPANS_PER_THREAD {
+                    record_step_span("test.step", now_ns(), 1);
+                }
+            }
+            record_span("test.retro_run_level", started, 1);
+            let dropped = spans_dropped() - dropped_before;
+            // The drain also empties other threads' buffers; keep only ours.
+            let mine: Vec<SpanRecord> = take_spans().into_iter().filter(|s| s.tid == tid).collect();
+            (mine, dropped)
+        })
+        .join()
+        .expect("filler thread");
+        crate::set_enabled(false);
+        let (spans, dropped) = spans;
+        let steps = spans.iter().filter(|s| s.name == "test.step").count();
+        assert_eq!(steps, MAX_SPANS_PER_THREAD - STEP_SPAN_RESERVE);
+        assert!(dropped >= STEP_SPAN_RESERVE as u64, "dropped {dropped}");
+        assert!(spans.iter().any(|s| s.name == "test.run_level"));
+        assert!(spans.iter().any(|s| s.name == "test.retro_run_level"));
     }
 
     #[test]

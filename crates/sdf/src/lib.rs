@@ -5,7 +5,7 @@
 //! into computational blocks and compiled into a DAG of tasks partially
 //! ordered by their dependencies (§I, referencing \[5\] and \[7\], which
 //! analyse synchronous dataflow programs). This crate is that front-end
-//! (see `DESIGN.md` §5):
+//! (ARCHITECTURE.md, "Workloads"):
 //!
 //! * [`SdfGraph`] — actors with per-firing WCET and memory accesses,
 //!   channels with production/consumption rates, initial tokens and token

@@ -1,7 +1,7 @@
 //! A cycle-stepped many-core memory-contention simulator.
 //!
 //! The paper's analyses bound what the Kalray MPPA-256 hardware may do;
-//! this crate stands in for that hardware (see `DESIGN.md` §5): it
+//! this crate stands in for that hardware: it
 //! *executes* a computed [`Schedule`] on a platform model with per-bank
 //! round-robin arbitration at single-access granularity, and reports the
 //! response time every task actually exhibited.

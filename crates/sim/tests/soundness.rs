@@ -1,8 +1,6 @@
 //! The central validation of the whole workspace: on randomly generated
 //! workloads, the response times computed by the analyses are never
 //! exceeded by the simulated execution, for any access pattern.
-//!
-//! (Experiment V1 of `DESIGN.md`.)
 
 use mia_arbiter::{Fifo, RoundRobin, Tdm};
 use mia_dag_gen::{Family, LayeredDag, LayeredDagConfig};

@@ -4,7 +4,7 @@
 //!
 //! The interference analyses only consume a `(WCET, memory accesses)` pair
 //! per task, so any sound estimator with that signature is
-//! interchangeable (`DESIGN.md` §5). This crate provides two:
+//! interchangeable. This crate provides two:
 //!
 //! * [`Program`] — a structured program tree analysed with the classic
 //!   *timing schema* (Shaw): sequences add, conditionals take the maximal
