@@ -132,9 +132,10 @@ pub const REGISTRY: &[RegistryEntry] = &[
 /// whatever the platform's core count: on `--cores > 16` the extra cores
 /// enter through the tree's implicit top-level round-robin input.
 ///
-/// The trait object is `Send + Sync` so it can drive the parallel
-/// analysis ([`mia-core`'s `analyze_parallel`](https://docs.rs/mia-core))
-/// and concurrent sweep grids.
+/// The trait object is `Send + Sync` so one instance can be shared by the
+/// threads that use it concurrently: the DSE's search chains
+/// (`mia optimize --threads`), the workers of `mia serve` and the grid
+/// points of a sweep (`--jobs`).
 ///
 /// # Example
 ///

@@ -26,18 +26,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let total = spec.families.len()
-        * spec.arbiters.len()
-        * spec.sizes.len()
-        * spec.algorithms.len()
-        * spec.threads.len();
+    let total =
+        spec.families.len() * spec.arbiters.len() * spec.sizes.len() * spec.algorithms.len();
     eprintln!(
-        "sweep: {total} grid points ({} families × {} arbiters × {} sizes × {} algorithms × {} pool sizes)",
+        "sweep: {total} grid points ({} families × {} arbiters × {} sizes × {} algorithms)",
         spec.families.len(),
         spec.arbiters.len(),
         spec.sizes.len(),
         spec.algorithms.len(),
-        spec.threads.len()
     );
     let report = run_sweep(&spec, &|point| {
         let outcome = match &point.outcome {
@@ -48,8 +44,8 @@ fn main() -> ExitCode {
             Outcome::Failed { error } => format!("failed: {error}"),
         };
         eprintln!(
-            "  {} / {} / n={} / {} / t={}: {outcome}",
-            point.family, point.arbiter, point.n, point.algorithm, point.threads
+            "  {} / {} / n={} / {}: {outcome}",
+            point.family, point.arbiter, point.n, point.algorithm
         );
     });
     let rendered = render_report(&report, format);

@@ -9,7 +9,7 @@
 //! | `scale8000` | §VI's ">8000 tasks in reasonable time" claim |
 //! | `sweep` | arbitrary arbiter × family × size grids → one JSON report (Figure 3 in one command; see [`sweep`]) |
 //! | `dse` | interference-aware mapping optimization over the same family grid → `BENCH_dse.json` (see [`dse`]) |
-//! | `ablation` | ablations A1–A4 of §II.C and §IV's design choices (interference mode, aggregation, arbiters, banks) plus the cursor |
+//! | `ablation` | ablations A1–A4 of §II.C and §IV's design choices (interference mode, aggregation, arbiters, banks) |
 //! | `precision` | V2: old-vs-new precision comparison |
 //!
 //! This library holds the shared machinery: wall-clock measurement with

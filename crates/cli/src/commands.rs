@@ -56,25 +56,25 @@ commands:
   generate --family <LS4|NL64|...> -n <tasks> [--seed S] [-o FILE]
   analyze  <workload> [--algorithm incremental|baseline]
            [--arbiter rr|mppa|tdm|fifo|fp|wrr|regulated] [--deadline N]
-           [--threads N] [--gantt] [--dot] [--json FILE] [--chrome FILE]
+           [--gantt] [--dot] [--json FILE] [--chrome FILE]
            [--profile FILE]  (runtime telemetry as a Chrome trace)
   optimize <workload|family> [-n <tasks>] [--strategy anneal|portfolio]
            [--chains N] [--seed N] [--budget-evals N] [--threads N]
            [--arbiters rr,mppa,...] [--seed-strategy etf|cyclic|balanced|heft]
-           [--gen-seed N] [--deadline N] [--with-mapping] [--csv] [-o FILE]
+           [--gen-seed N] [--deadline N] [--pareto] [--objectives LIST]
+           [--front-capacity N] [--with-mapping] [--csv] [-o FILE]
            [--profile FILE]
            (search mappings with the real interference analysis as the
             objective; never returns a mapping worse than the seed)
   sweep    [--families tobita,layered,LS64,rosace,sdf3:app.sdf3,...]
            [--arbiters rr,mppa,...] [--sizes 1000,8000,32000]
            [--algorithms incremental,baseline] [--seed N] [--budget SECS]
-           [--jobs N] [--threads N,M,...] [--repeats N] [--csv] [-o FILE]
-           [--profile FILE]
+           [--jobs N] [--repeats N] [--csv] [-o FILE] [--profile FILE]
            (batch grid -> one JSON/CSV report; tobita = LS16, layered = NL16)
   simulate <workload> [--pattern burst-start|burst-end|uniform|random] [--seed S]
   exec     <workload> [--arbiter ...] [--prefix NAME] [--c FILE] [--json FILE]
   sdf      <app.sdf|app.sdf3|rosace> [--cores N] [--iterations K]
-           [--strategy etf|cyclic|balanced|heft]
+           [--strategy etf|cyclic|balanced|heft] [--arbiter ...]
   dot      <workload>
   serve    [--addr HOST:PORT] [--workers N] [--max-pending N]
            [--request-budget-ms MS] [--port-file FILE]
@@ -83,7 +83,9 @@ commands:
   client   <method> [workload] [--addr HOST:PORT] [--handle H] [options...]
            (one request against a running `mia serve`; method is one of
             load, analyze, simulate, optimize, sweep, ping, stats, metrics,
-            shutdown)";
+            shutdown)
+
+An option a command does not take is a usage error.";
 
 /// The text `mia help` and `mia <command> --help` print.
 fn help() -> String {
@@ -103,6 +105,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     if rest.iter().any(|a| a == "--help" || a == "-h") {
         return Ok(help());
     }
+    check_flags(command, rest)?;
     match command.as_str() {
         "generate" => generate(rest),
         "analyze" => analyze_cmd(rest),
@@ -119,6 +122,153 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             "unknown command `{other}`\n{USAGE}"
         ))),
     }
+}
+
+/// The options one subcommand takes.
+struct Flags {
+    /// Options followed by a value (`--arbiter rr`).
+    valued: &'static [&'static str],
+    /// Switches that stand alone (`--gantt`).
+    bare: &'static [&'static str],
+}
+
+/// The options `command` takes, or `None` when its arguments are checked
+/// elsewhere: `client` forwards them to the daemon, which checks them
+/// against the method they are for. The SDF front end adds `--cores`,
+/// `--iterations`, `--strategy` and `--deadline` to every command that
+/// loads a workload.
+fn declared_flags(command: &str) -> Option<Flags> {
+    let (valued, bare): (&[&str], &[&str]) = match command {
+        "generate" => (&["--family", "-n", "--tasks", "--seed", "-o", "--out"], &[]),
+        "analyze" => (
+            &[
+                "--algorithm",
+                "--arbiter",
+                "--deadline",
+                "--json",
+                "--chrome",
+                "--profile",
+                "--cores",
+                "--iterations",
+                "--strategy",
+            ],
+            &["--gantt", "--dot"],
+        ),
+        "optimize" => (
+            &[
+                "-n",
+                "--tasks",
+                "--strategy",
+                "--chains",
+                "--seed",
+                "--budget-evals",
+                "--threads",
+                "--arbiters",
+                "--seed-strategy",
+                "--gen-seed",
+                "--deadline",
+                "--objectives",
+                "--front-capacity",
+                "--cores",
+                "--iterations",
+                "-o",
+                "--out",
+                "--profile",
+            ],
+            &["--pareto", "--with-mapping", "--csv"],
+        ),
+        "sweep" => (
+            &[
+                "--families",
+                "--arbiters",
+                "--sizes",
+                "--algorithms",
+                "--seed",
+                "--budget",
+                "--jobs",
+                "--repeats",
+                "-o",
+                "--out",
+                "--profile",
+            ],
+            &["--csv"],
+        ),
+        "simulate" => (
+            &[
+                "--arbiter",
+                "--pattern",
+                "--seed",
+                "--cores",
+                "--iterations",
+                "--strategy",
+                "--deadline",
+            ],
+            &[],
+        ),
+        "exec" => (
+            &[
+                "--arbiter",
+                "--prefix",
+                "--c",
+                "--json",
+                "--cores",
+                "--iterations",
+                "--strategy",
+                "--deadline",
+            ],
+            &[],
+        ),
+        "sdf" => (
+            &[
+                "--arbiter",
+                "--cores",
+                "--iterations",
+                "--strategy",
+                "--deadline",
+            ],
+            &[],
+        ),
+        "dot" => (
+            &["--cores", "--iterations", "--strategy", "--deadline"],
+            &[],
+        ),
+        "serve" => (
+            &[
+                "--addr",
+                "--workers",
+                "--max-pending",
+                "--request-budget-ms",
+                "--port-file",
+            ],
+            &[],
+        ),
+        _ => return None,
+    };
+    Some(Flags { valued, bare })
+}
+
+/// Rejects every `-…` argument `command` does not take. The commands read
+/// their options by lookup ([`opt`], [`has_flag`]), which on its own would
+/// silently ignore a misspelt or unsupported one.
+///
+/// # Errors
+///
+/// [`CliError::Usage`] naming the first undeclared option.
+pub(crate) fn check_flags(command: &str, args: &[String]) -> Result<(), CliError> {
+    let Some(flags) = declared_flags(command) else {
+        return Ok(());
+    };
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if flags.valued.contains(&arg) {
+            rest.next();
+        } else if arg.starts_with('-') && !flags.bare.contains(&arg) {
+            return Err(CliError::Usage(format!(
+                "{command} does not take `{arg}` (see mia {command} --help)"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Fetches the value following a `--flag`.
@@ -428,33 +578,11 @@ fn render_analysis_profiled(
         options = options.deadline(Cycles(d));
     }
     let algorithm = opt(args, "--algorithm").unwrap_or("incremental");
-    let threads: usize = opt(args, "--threads")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|_| CliError::Usage("--threads must be a number".into()))?;
-    let mut parallel = None;
     let schedule = match algorithm {
-        "incremental" | "new" if threads != 1 => {
-            let report = mia_core::analyze_parallel_with(
-                problem,
-                arbiter.as_ref(),
-                &options,
-                threads,
-                &mut NoopObserver,
-            )
-            .map_err(|e| CliError::Analysis(e.to_string()))?;
-            parallel = report.parallel;
-            report.schedule
-        }
         "incremental" | "new" => {
             analyze_with(problem, arbiter.as_ref(), &options, &mut NoopObserver)
                 .map_err(|e| CliError::Analysis(e.to_string()))?
                 .schedule
-        }
-        "baseline" | "original" | "old" if threads != 1 => {
-            return Err(CliError::Usage(
-                "--threads only applies to the incremental algorithm".into(),
-            ))
         }
         "baseline" | "original" | "old" => {
             let mut opts = mia_baseline::BaselineOptions::new();
@@ -478,18 +606,6 @@ fn render_analysis_profiled(
         arbiter.name(),
         problem.len()
     ));
-    if let Some(info) = parallel {
-        let engage = match info.engage_width {
-            Some(w) if info.auto_tuned => format!("auto({w})"),
-            Some(w) => w.to_string(),
-            None if info.auto_tuned => "auto".to_owned(),
-            None => "-".to_owned(),
-        };
-        out.push_str(&format!(
-            "parallel: workers={}   engage={engage}   fanout={}   inline={}\n",
-            info.workers, info.fanout_steps, info.inline_steps
-        ));
-    }
     out.push_str(&format!(
         "makespan: {}   total interference: {}\n\n",
         schedule.makespan(),
@@ -718,32 +834,58 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn analyze_surfaces_pool_engagement_only_with_threads() {
+    fn undeclared_options_are_usage_errors() {
         let dir = scratch_dir();
-        let path = dir.join("threads.json");
+        let path = dir.join("flags.json");
         let path_str = path.to_str().unwrap().to_owned();
         run(&args(&[
-            "generate", "--family", "LS4", "-n", "32", "--seed", "5", "-o", &path_str,
+            "generate", "--family", "LS4", "-n", "16", "--seed", "5", "-o", &path_str,
         ]))
         .unwrap();
-
-        // Default --threads 1: sequential cursor, no pool line — the
-        // `mia serve` smoke test byte-compares this output.
-        let seq = run(&args(&["analyze", &path_str])).unwrap();
-        assert!(!seq.contains("parallel:"), "{seq}");
-
-        // --threads 2: the pool (or its fallback) reports itself, and
-        // the schedule lines are unchanged.
-        let par = run(&args(&["analyze", &path_str, "--threads", "2"])).unwrap();
-        assert!(par.contains("parallel: workers="), "{par}");
-        assert!(par.contains("engage="), "{par}");
-        let strip = |s: &str| {
-            s.lines()
-                .filter(|l| !l.starts_with("parallel:"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(strip(&seq), strip(&par));
+        for (bad, flag) in [
+            (
+                vec!["analyze", &path_str, "--bogus-flag", "3"],
+                "--bogus-flag",
+            ),
+            // `analyze` has one engine and no thread count.
+            (vec!["analyze", &path_str, "--threads", "2"], "--threads"),
+            // No option selects the interference mode.
+            (
+                vec!["analyze", &path_str, "--interference", "pairwise"],
+                "--interference",
+            ),
+            (vec!["analyze", &path_str, "-x"], "-x"),
+            (vec!["simulate", &path_str, "--gantt"], "--gantt"),
+            (
+                vec!["generate", "--family", "LS4", "--verbose"],
+                "--verbose",
+            ),
+            (vec!["sweep", "--threads", "1,4"], "--threads"),
+            (vec!["serve", "--port", "4117"], "--port"),
+        ] {
+            let err = run(&args(&bad)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{bad:?}: {err}");
+            assert!(err.to_string().contains(&format!("`{flag}`")), "{err}");
+        }
+        // A declared option's value may itself start with `-`.
+        let err = run(&args(&["serve", "--max-pending", "-2"])).unwrap_err();
+        assert!(err.to_string().contains("--max-pending"), "{err}");
+        // Every option the one-shot commands are documented with is
+        // still taken.
+        let out = run(&args(&[
+            "analyze",
+            &path_str,
+            "--arbiter",
+            "mppa",
+            "--algorithm",
+            "incremental",
+            "--deadline",
+            "100000000",
+            "--gantt",
+            "--dot",
+        ]))
+        .unwrap();
+        assert!(out.contains("makespan"), "{out}");
         std::fs::remove_file(path).ok();
     }
 

@@ -6,13 +6,15 @@
 //! mia generate --family LS64 -n 256 --seed 7 -o workload.json
 //! mia analyze workload.json --arbiter mppa --gantt
 //! mia analyze workload.json --algorithm baseline
-//! mia analyze workload.json --threads 4
-//! mia optimize rosace --budget-evals 200 --seed 7
+//! mia analyze workload.json --json schedule.json
+//! mia optimize rosace --budget-evals 200 --seed 7 --threads 4
 //! mia sweep --families tobita,layered --arbiters rr,mppa --sizes 1000,8000,32000
 //! mia simulate workload.json --pattern random --seed 3
 //! mia sdf app.sdf --cores 4 --iterations 2 --strategy etf
 //! mia dot workload.json
 //! ```
+//!
+//! An option a command does not take is a usage error (exit code 1).
 //!
 //! Workloads are exchanged in a human-writable JSON schema
 //! ([`WorkloadFile`]) that is validated into a

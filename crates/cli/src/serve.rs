@@ -26,7 +26,7 @@ use mia_serve::{
     MAX_FRAME_LEN,
 };
 
-use crate::commands::{opt, render_analysis, render_simulation, CliError};
+use crate::commands::{check_flags, opt, render_analysis, render_simulation, CliError};
 use crate::optimize::{load_optimize_problem, optimize_loaded};
 
 /// Flags that make a subcommand write files *on the server*; rejected
@@ -75,6 +75,9 @@ impl Engine for CliEngine {
                 "{flag} writes a file on the server and is not available over the wire"
             )));
         }
+        // Token targets are checked again by `commands::run`; resident
+        // ones skip it, so every target is checked here.
+        check_flags(method, args).map_err(engine_error)?;
         let result = match (method, target) {
             ("analyze", Target::Token(token)) => {
                 crate::commands::run(&with_token("analyze", token, args))

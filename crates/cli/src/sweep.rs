@@ -21,7 +21,6 @@
 //! | `--seed N` | base PRNG seed (mixed per point) | `2020` |
 //! | `--budget SECS` | per-point wall-clock budget; a point over budget is recorded as a timeout | `120` |
 //! | `--jobs N` | concurrent grid points (`0` = all cores) | `0` |
-//! | `--threads N,M,…` | worker-pool sizes *inside* each incremental analysis — a grid axis, so one sweep charts the parallel engine | `1` |
 //! | `--repeats N` | timed runs per point; the fastest is reported (best-of-N strips scheduler noise from deterministic analyses) | `1` |
 //! | `--csv` | emit a flat CSV table (one row per grid point) instead of JSON — ready for plotting trajectory curves | JSON |
 //! | `-o FILE` | write the report to `FILE` | stdout |
@@ -61,13 +60,12 @@ pub fn sweep_cmd(args: &[String]) -> Result<String, CliError> {
 
     let mut summary = String::new();
     summary.push_str(&format!(
-        "sweep: {} points ({} families × {} arbiters × {} sizes × {} algorithms × {} pool sizes) in {:.1}s\n",
+        "sweep: {} points ({} families × {} arbiters × {} sizes × {} algorithms) in {:.1}s\n",
         report.points.len(),
         report.families.len(),
         report.arbiters.len(),
         report.sizes.len(),
         report.algorithms.len(),
-        report.threads.len(),
         report.wall_seconds,
     ));
     let timeouts = report
@@ -165,7 +163,7 @@ mod tests {
             out.contains(mia_bench::sweep::CSV_HEADER),
             "missing CSV header: {out}"
         );
-        assert!(out.contains("LS4,rr,16,new,1,completed,"), "{out}");
+        assert!(out.contains("LS4,rr,16,new,completed,"), "{out}");
         assert!(!out.contains("\"points\""), "JSON leaked into CSV: {out}");
     }
 
@@ -192,24 +190,7 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains(mia_bench::sweep::CSV_HEADER), "{out}");
-        assert!(out.contains("rosace,rr,25,new,1,completed,"), "{out}");
+        assert!(out.contains("rosace,rr,25,new,completed,"), "{out}");
         std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn threads_axis_reaches_the_report() {
-        let out = sweep_cmd(&args(&[
-            "--families",
-            "LS4",
-            "--sizes",
-            "48",
-            "--threads",
-            "1,2",
-            "--csv",
-        ]))
-        .unwrap();
-        assert!(out.contains("sweep: 2 points"), "{out}");
-        assert!(out.contains("LS4,rr,48,new,1,completed,"), "{out}");
-        assert!(out.contains("LS4,rr,48,new,2,completed,"), "{out}");
     }
 }

@@ -1,7 +1,5 @@
-//! Shared bookkeeping for the alive set `A` of Algorithm 1, used by the
-//! scanning cursor of [`crate::analyze`], the event-driven cursor of
-//! [`crate::analyze_event_driven`] and the parallel layer engine of
-//! [`crate::analyze_parallel`].
+//! Bookkeeping for the alive set `A` of Algorithm 1, stepped by the
+//! cursor driver in `engine.rs`.
 //!
 //! # Slots, not tasks
 //!
@@ -16,24 +14,16 @@
 //! `Vec<InterfererDemand>` per task pair, which dominated the allocator
 //! beyond ~10k tasks.)
 //!
-//! # Destination-major accounting
+//! # Pair accounting
 //!
 //! When the cursor opens tasks at an instant, every (destination,
 //! source) pair of alive tasks must be accounted exactly once
-//! (Algorithm 1, lines 17–23). [`account_newly`] performs that phase
-//! **grouped by destination slot**: each destination's updates depend
-//! only on its own slot plus the immutable problem, so destinations are
-//! independent of each other. That grouping is what makes the parallel
-//! engine possible — the alive set at an instant is an anti-chain (a
-//! "layer") of the DAG, and each of its members can be updated by a
-//! different worker — while keeping the per-destination source order
-//! *identical* to the sequential pair order, so results are bit-exact in
-//! every mode.
-//!
-//! Every pair is offered exactly once by construction: a destination that
-//! just opened takes the lower newly opened cores first, then every other
-//! alive core *except* those, and an older destination takes only the
-//! newly opened cores. No per-task "already accounted" set is kept.
+//! (Algorithm 1, lines 17–23). The driver does that destination by
+//! destination, calling [`AliveSlot::account`] once per pair: a
+//! destination that just opened takes the lower newly opened cores first,
+//! then every other alive core *except* those, and an older destination
+//! takes only the newly opened cores. No per-task "already accounted"
+//! set is kept.
 //!
 //! # The accounting rule
 //!
@@ -173,9 +163,9 @@ impl AliveSlot {
     /// Freezes the busy slot's interference state for a checkpoint. Only
     /// current-generation entries are captured. No record of which
     /// sources were accounted is needed: every source task enters the
-    /// alive set exactly once per run, and [`account_destination`] offers
-    /// each pair exactly once, so a source accounted in the prefix is never
-    /// offered to this destination again in the resumed suffix.
+    /// alive set exactly once per run, and the driver offers each pair
+    /// exactly once, so a source accounted in the prefix is never offered
+    /// to this destination again in the resumed suffix.
     pub(crate) fn snapshot(&self) -> SlotSnapshot {
         debug_assert!(self.busy, "snapshotting an empty slot");
         SlotSnapshot {
@@ -207,7 +197,7 @@ impl AliveSlot {
 
     /// Accounts `src_task` (alive on `src_core`) as an interferer of this
     /// slot's task — one direction of Algorithm 1's lines 17–23. Callers
-    /// offer each pair once (see [`account_destination`]).
+    /// offer each pair once (see the [module documentation](self)).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn account<A, O>(
         &mut self,
@@ -291,117 +281,5 @@ impl AliveSlot {
     fn bank_inter_set(&mut self, bank: BankId, value: Cycles) {
         self.bank_stamp[bank.index()] = self.generation;
         self.bank_inter[bank.index()] = value;
-    }
-}
-
-/// The source order [`account_newly`] uses for one destination: first the
-/// newly opened tasks on lower-numbered cores, then — only when the
-/// destination itself just opened — every other alive core in ascending
-/// order, skipping the ones the first loop took. This is exactly the
-/// per-destination subsequence of the sequential pair order of
-/// Algorithm 1's lines 17–23, each pair once, so accounting destinations
-/// in any order (or in parallel) yields bit-identical slots.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn account_destination<A, O>(
-    problem: &Problem,
-    arbiter: &A,
-    acct: Accounting,
-    dest: &mut AliveSlot,
-    dest_idx: usize,
-    dest_is_new: bool,
-    newly: &[usize],
-    occupants: &[Option<TaskId>],
-    observer: &mut O,
-    stats: &mut AnalysisStats,
-) where
-    A: Arbiter + ?Sized,
-    O: Observer + ?Sized,
-{
-    let mut account = |dest: &mut AliveSlot, core: usize, observer: &mut O| {
-        let src = occupants[core].expect("source core is occupied");
-        dest.account(
-            problem,
-            arbiter,
-            acct,
-            src,
-            CoreId::from_index(core),
-            observer,
-            stats,
-        );
-    };
-    if dest_is_new {
-        let earlier = &newly[..newly.partition_point(|&n| n < dest_idx)];
-        for &n in earlier {
-            account(dest, n, observer);
-        }
-        // `earlier` is ascending, so one cursor over it finds the cores
-        // to skip.
-        let mut taken = earlier.iter().peekable();
-        for (other, occ) in occupants.iter().enumerate() {
-            if taken.next_if_eq(&&other).is_some() || occ.is_none() || other == dest_idx {
-                continue;
-            }
-            account(dest, other, observer);
-        }
-    } else {
-        for &n in newly {
-            if n != dest_idx {
-                account(dest, n, observer);
-            }
-        }
-    }
-}
-
-/// Runs the interference phase of one cursor step: accounts every pair
-/// involving a newly opened task, destination by destination.
-///
-/// `newly` must be ascending (the open loop produces it that way).
-/// `occupants` is refreshed in place from the slots. Destinations whose
-/// total interference changed are appended to `dirty` (cleared first) —
-/// the event-driven cursor uses them to refresh its heap.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn account_newly<A, O>(
-    problem: &Problem,
-    arbiter: &A,
-    acct: Accounting,
-    slots: &mut [AliveSlot],
-    newly: &[usize],
-    occupants: &mut Vec<Option<TaskId>>,
-    observer: &mut O,
-    stats: &mut AnalysisStats,
-    dirty: &mut Vec<usize>,
-) where
-    A: Arbiter + ?Sized,
-    O: Observer + ?Sized,
-{
-    dirty.clear();
-    if newly.is_empty() {
-        return;
-    }
-    debug_assert!(newly.windows(2).all(|w| w[0] < w[1]), "newly not ascending");
-    occupants.clear();
-    occupants.extend(slots.iter().map(|s| s.busy.then_some(s.task)));
-
-    for (dest_idx, dest) in slots.iter_mut().enumerate() {
-        if !dest.busy {
-            continue;
-        }
-        let dest_is_new = newly.binary_search(&dest_idx).is_ok();
-        let before = dest.total_inter;
-        account_destination(
-            problem,
-            arbiter,
-            acct,
-            dest,
-            dest_idx,
-            dest_is_new,
-            newly,
-            occupants,
-            observer,
-            stats,
-        );
-        if dest.total_inter != before {
-            dirty.push(dest_idx);
-        }
     }
 }

@@ -1,18 +1,12 @@
-//! The incremental scheduling algorithm (Algorithm 1 of the paper).
-//!
-//! This module holds the **scanning engine** — the paper's own cursor
-//! strategy (find the next position by scanning the alive set, lines
-//! 24–28) — expressed as a [`StepEngine`] driven by the shared
-//! [`run_cursor`] loop of the [`engine` module](crate::engine).
+//! The incremental scheduling algorithm (Algorithm 1 of the paper): the
+//! public entry points over the cursor driver of the
+//! [`engine` module](crate::engine).
 
 use mia_model::arbiter::Arbiter;
-use mia_model::{Cycles, Problem, Schedule, TaskId, TaskTable};
+use mia_model::{Problem, Schedule};
 
-use crate::alive::{account_newly, Accounting, AliveSlot};
-use crate::checkpoint::{Checkpoint, CheckpointLog, SlotSnapshot};
-use crate::engine::{
-    resume_cursor, run_cursor, run_cursor_recorded, scan_next_finish, Resume, SlotView, StepEngine,
-};
+use crate::checkpoint::{Checkpoint, CheckpointLog};
+use crate::engine::{drive, Resume};
 use crate::{AnalysisError, AnalysisOptions, NoopObserver, Observer};
 
 /// Counters describing the work an analysis run performed; useful for
@@ -31,35 +25,6 @@ pub struct AnalysisStats {
     pub max_alive: usize,
 }
 
-/// How the parallel engine executed a run: pool size, engagement
-/// threshold and the inline/fan-out split. Attached to
-/// [`AnalysisReport::parallel`] by [`crate::analyze_parallel_with`] so
-/// benchmark sweeps can record the auto-tuned threshold and reproduce a
-/// measurement exactly (pin it back via
-/// [`AnalysisOptions::parallel_engage`](crate::AnalysisOptions::parallel_engage)).
-///
-/// Deliberately *not* part of [`AnalysisStats`]: the conformance harness
-/// pins stats bit-equal across engines, while this is a timing-side
-/// execution trace that legitimately differs per host and pool size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelInfo {
-    /// Partitions the slot table was split into (1 = the run fell through
-    /// to the sequential path).
-    pub workers: usize,
-    /// The engagement threshold in effect: interference phases at least
-    /// this wide were fanned out to the pool. `None` when the pool was
-    /// never spawned (no usable host parallelism, or a single worker).
-    pub engage_width: Option<usize>,
-    /// True when `engage_width` came from the measured auto-tuner rather
-    /// than [`AnalysisOptions::parallel_engage`](crate::AnalysisOptions::parallel_engage).
-    pub auto_tuned: bool,
-    /// Interference phases fanned out to the worker pool.
-    pub fanout_steps: usize,
-    /// Interference phases run inline on the driver (below the
-    /// threshold, or no pool).
-    pub inline_steps: usize,
-}
-
 /// The result of [`analyze_with`]: the schedule plus run statistics.
 #[derive(Debug, Clone)]
 pub struct AnalysisReport {
@@ -67,9 +32,6 @@ pub struct AnalysisReport {
     pub schedule: Schedule,
     /// Work counters for this run.
     pub stats: AnalysisStats,
-    /// How the parallel engine executed this run; `None` for the
-    /// sequential engines.
-    pub parallel: Option<ParallelInfo>,
 }
 
 /// Runs the incremental analysis with default options and no observer.
@@ -121,13 +83,34 @@ where
     A: Arbiter + ?Sized,
     O: Observer + ?Sized,
 {
-    let mut engine = ScanEngine::new(problem, arbiter, options);
-    let (timings, stats) = run_cursor(problem, options, &mut engine, observer)?;
+    let (timings, stats) = drive(problem, arbiter, options, observer, None, None)?;
     Ok(AnalysisReport {
         schedule: Schedule::from_timings(timings),
         stats,
-        parallel: None,
     })
+}
+
+/// [`analyze_with`] under its former multi-threaded name: `threads` is
+/// ignored. Kept only because the benchmark's traced run still times it
+/// as `core.analyze_parallel2_s`, which therefore measures the sequential
+/// engine; the function goes when the benchmark drops that row.
+///
+/// # Errors
+///
+/// As [`analyze_with`].
+#[doc(hidden)]
+pub fn analyze_parallel_with<A, O>(
+    problem: &Problem,
+    arbiter: &A,
+    options: &AnalysisOptions,
+    _threads: usize,
+    observer: &mut O,
+) -> Result<AnalysisReport, AnalysisError>
+where
+    A: Arbiter + ?Sized,
+    O: Observer + ?Sized,
+{
+    analyze_with(problem, arbiter, options, observer)
 }
 
 /// [`analyze_with`] that additionally records [`Checkpoint`]s of the
@@ -149,16 +132,14 @@ where
     A: Arbiter + ?Sized,
     O: Observer + ?Sized,
 {
-    let mut engine = ScanEngine::new(problem, arbiter, options);
-    let (timings, stats) = run_cursor_recorded(problem, options, &mut engine, observer, log)?;
+    let (timings, stats) = drive(problem, arbiter, options, observer, None, Some(log))?;
     Ok(AnalysisReport {
         schedule: Schedule::from_timings(timings),
         stats,
-        parallel: None,
     })
 }
 
-/// Resumes a recorded analysis from `checkpoint` on the scanning engine:
+/// Resumes a recorded analysis from `checkpoint`:
 /// only the suffix of the run is re-executed (and only its events reach
 /// the observer), yet the returned schedule and stats are complete and
 /// bit-identical to a from-scratch [`analyze_with`] of `problem`.
@@ -184,22 +165,14 @@ where
     A: Arbiter + ?Sized,
     O: Observer + ?Sized,
 {
-    let mut engine = ScanEngine::new(problem, arbiter, options);
-    let (timings, stats) = resume_cursor(
-        problem,
-        options,
-        &mut engine,
-        observer,
-        Resume {
-            checkpoint,
-            prior: prior.timings(),
-        },
-        log,
-    )?;
+    let resume = Resume {
+        checkpoint,
+        prior: prior.timings(),
+    };
+    let (timings, stats) = drive(problem, arbiter, options, observer, Some(resume), log)?;
     Ok(AnalysisReport {
         schedule: Schedule::from_timings(timings),
         stats,
-        parallel: None,
     })
 }
 
@@ -254,124 +227,14 @@ where
     Ok((report, fresh, false))
 }
 
-/// The paper's scanning cursor as a [`StepEngine`]: owns the full
-/// [`AliveSlot`] bookkeeping and finds the next cursor position by
-/// scanning the alive set.
-///
-/// Also the building block of the event-driven engine, which wraps it
-/// and only replaces the scan with a heap (see `events.rs`).
-pub(crate) struct ScanEngine<'p, A: ?Sized> {
-    problem: &'p Problem,
-    arbiter: &'p A,
-    acct: Accounting,
-    /// The alive set `A`: one reusable slot per core (see `alive.rs`).
-    pub(crate) slots: Vec<AliveSlot>,
-    // Reusable per-step buffers (no allocation inside the loop).
-    occupants: Vec<Option<TaskId>>,
-    /// Cores whose finish date moved during the last interference phase
-    /// (the event-driven wrapper refreshes its heap from these).
-    pub(crate) dirty: Vec<usize>,
-}
-
-impl<'p, A> ScanEngine<'p, A>
-where
-    A: Arbiter + ?Sized,
-{
-    pub(crate) fn new(problem: &'p Problem, arbiter: &'p A, options: &AnalysisOptions) -> Self {
-        let cores = problem.mapping().cores();
-        ScanEngine {
-            problem,
-            arbiter,
-            acct: Accounting::new(problem, arbiter, options.interference_mode),
-            slots: AliveSlot::for_problem(problem),
-            occupants: Vec::with_capacity(cores),
-            dirty: Vec::with_capacity(cores),
-        }
-    }
-
-    /// The problem under analysis (used by the event-driven wrapper).
-    pub(crate) fn problem(&self) -> &'p Problem {
-        self.problem
-    }
-}
-
-impl<A> StepEngine for ScanEngine<'_, A>
-where
-    A: Arbiter + ?Sized,
-{
-    fn cores(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn slot(&self, core: usize) -> Option<SlotView> {
-        let s = &self.slots[core];
-        s.busy.then_some(SlotView {
-            task: s.task,
-            release: s.release,
-            total_inter: s.total_inter,
-        })
-    }
-
-    fn close_slot(&mut self, core: usize) {
-        self.slots[core].close();
-    }
-
-    fn open_slot(&mut self, core: usize, task: TaskId, release: Cycles) {
-        self.slots[core].open(task, release);
-    }
-
-    fn account<O>(
-        &mut self,
-        newly: &[usize],
-        observer: &mut O,
-        stats: &mut crate::AnalysisStats,
-    ) -> Result<(), AnalysisError>
-    where
-        O: Observer + ?Sized,
-    {
-        account_newly(
-            self.problem,
-            self.arbiter,
-            self.acct,
-            &mut self.slots,
-            newly,
-            &mut self.occupants,
-            observer,
-            stats,
-            &mut self.dirty,
-        );
-        Ok(())
-    }
-
-    fn next_finish(&mut self, table: &TaskTable, t: Cycles) -> Cycles {
-        scan_next_finish(self, table, t)
-    }
-
-    fn snapshot_slots(&self) -> Option<Vec<Option<SlotSnapshot>>> {
-        Some(
-            self.slots
-                .iter()
-                .map(|s| s.busy.then(|| s.snapshot()))
-                .collect(),
-        )
-    }
-
-    fn restore_slots(&mut self, slots: &[Option<SlotSnapshot>]) {
-        debug_assert_eq!(slots.len(), self.slots.len());
-        for (slot, snap) in self.slots.iter_mut().zip(slots) {
-            if let Some(snap) = snap {
-                slot.restore(snap);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::InterferenceMode;
     use mia_model::arbiter::InterfererDemand;
-    use mia_model::{BankId, CoreId, Mapping, ModelError, Platform, Task, TaskGraph};
+    use mia_model::{
+        BankId, CoreId, Cycles, Mapping, ModelError, Platform, Task, TaskGraph, TaskId,
+    };
 
     /// Flat round-robin: Σ min(d_v, d_j), additive — a local copy so unit
     /// tests do not depend on `mia-arbiter` (which is a dev-dependency of

@@ -7,8 +7,8 @@
 //! move provably cannot have changed: every open/close/account decision
 //! taken before the first touched order position is read is bit-identical
 //! between the two mappings. [`CheckpointLog`] captures the driver state
-//! ([`Checkpoint`]) at cursor steps during a recorded run;
-//! `resume_cursor` (in `engine.rs`) restarts the loop from the latest
+//! ([`Checkpoint`]) at cursor steps during a recorded run; the cursor
+//! driver (`drive` in `engine.rs`) restarts the loop from the latest
 //! checkpoint that provably precedes the change and re-analyzes only the
 //! suffix.
 //!
@@ -38,7 +38,7 @@ use mia_model::{BankId, CoreId, Cycles, TaskId};
 use crate::AnalysisStats;
 
 /// Frozen interference state of one busy alive slot: everything the
-/// engines need to rebuild the slot mid-run (see `AliveSlot::restore`).
+/// driver needs to rebuild the slot mid-run (see `AliveSlot::restore`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct SlotSnapshot {
     /// The occupying task.
@@ -55,7 +55,7 @@ pub(crate) struct SlotSnapshot {
 }
 
 /// Driver state at the top of one cursor iteration: enough to re-enter
-/// `run_cursor`'s loop (`crate::engine`, private) as if the prefix had
+/// the cursor loop (`crate::engine`, private) as if the prefix had
 /// just been executed.
 ///
 /// Opaque outside `mia-core`; obtained from a [`CheckpointLog`] filled by

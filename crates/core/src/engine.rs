@@ -1,39 +1,33 @@
-//! The shared cursor driver behind every incremental analysis engine.
+//! The cursor driver of the incremental analysis: Algorithm 1's
+//! close/open/advance loop ([`drive`]) over the scanning cursor's alive
+//! set ([`ScanEngine`]).
 //!
-//! Algorithm 1's control flow — close tasks finishing at the cursor, open
-//! eligible heads, account interference, advance the cursor — used to be
-//! triplicated across the scanning, event-driven and layer-parallel
-//! drivers, so any cursor-semantics fix had to land three times (and a
-//! missed one would silently diverge). [`run_cursor`] is now the **only**
-//! copy of that loop; the three engines implement [`StepEngine`] and
-//! differ solely in
-//!
-//! * their **alive-slot view** — the scanning and event-driven engines
-//!   own the full [`AliveSlot`](crate::alive) bookkeeping, the parallel
-//!   engine shares one slot table between the driver and its persistent
-//!   worker pool under a phase-ownership protocol — and
-//! * their **interference phase** ([`StepEngine::account`]) plus how the
-//!   next cursor position is found ([`StepEngine::next_finish`]: a slot
-//!   scan or a lazily invalidated heap).
+//! At each cursor position the driver closes the tasks finishing there,
+//! opens the eligible heads of the per-core orders, accounts the
+//! interference between the newly opened tasks and the rest of the alive
+//! set, and advances the cursor to the next finish date or future minimal
+//! release date, found by scanning the alive set (lines 24–28).
 //!
 //! The driver compacts the graph into a [`TaskTable`] (dense WCET and
 //! release columns, CSR successor lists) once per run, so the per-step
 //! loops below never chase `Task` or edge-list pointers.
 //!
 //! The driver is additionally **resumable**: a run may record
-//! [`Checkpoint`]s of its own state into a [`CheckpointLog`], and
-//! [`resume_cursor`] re-enters the loop from such a checkpoint instead of
-//! from `t = 0`, replaying only the suffix of the run. This is the core
-//! of the delta re-analysis used by the DSE inner loop (see
+//! [`Checkpoint`]s of its own state into a [`CheckpointLog`], and a
+//! later run re-enters the loop from such a checkpoint instead of from
+//! `t = 0`, replaying only the suffix of the run. This is the core of the
+//! delta re-analysis used by the DSE inner loop (see
 //! [`crate::checkpoint`] for the invalidation rule).
 //!
-//! The cross-engine conformance harness (`tests/conformance.rs`, built on
-//! [`crate::testkit`]) pins all implementors to bit-identical schedules,
-//! work counters and observer event streams — for full *and* resumed
-//! runs — with `mia-baseline` as the independent fixed-point oracle.
+//! The conformance harness (`tests/conformance.rs`, built on
+//! [`crate::testkit`]) pins full and resumed runs to bit-identical
+//! schedules, work counters and observer event streams, with
+//! `mia-baseline` as the independent fixed-point oracle.
 
+use mia_model::arbiter::Arbiter;
 use mia_model::{CoreId, Cycles, Problem, TaskId, TaskTable, TaskTiming};
 
+use crate::alive::{Accounting, AliveSlot};
 use crate::checkpoint::{Checkpoint, CheckpointLog, SlotSnapshot};
 use crate::{AnalysisError, AnalysisOptions, AnalysisStats, Observer};
 
@@ -42,9 +36,8 @@ use crate::{AnalysisError, AnalysisOptions, AnalysisStats, Observer};
 /// so the loop never touches the registry's name map. Only constructed
 /// when the global gate is on — the disabled path of the whole driver
 /// is a single relaxed load + branch at entry. Everything recorded here
-/// stays off [`AnalysisStats`] (same contract as
-/// [`ParallelInfo`](crate::ParallelInfo)), so conformance bit-identity
-/// holds with telemetry on or off.
+/// stays off [`AnalysisStats`], so conformance bit-identity holds with
+/// telemetry on or off.
 struct DriveProfile {
     close_open: std::sync::Arc<mia_obs::Histogram>,
     account: std::sync::Arc<mia_obs::Histogram>,
@@ -80,129 +73,133 @@ impl DriveProfile {
     }
 }
 
-/// One engine's view of the task alive on a core: exactly the state the
-/// shared driver needs to close tasks, enforce deadlines and compute
-/// finish dates. Copied out per query, so engines stay free to store the
-/// underlying slot however they like.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SlotView {
-    /// The occupying task.
-    pub(crate) task: TaskId,
-    /// Its fixed release date.
-    pub(crate) release: Cycles,
-    /// Total interference accumulated so far.
-    pub(crate) total_inter: Cycles,
+/// The paper's scanning cursor state: one [`AliveSlot`] per core (the
+/// alive set `A`), the accounting rule resolved for the run, and the
+/// buffers of the interference phase. [`drive`] owns the control flow;
+/// this holds what it steps.
+struct ScanEngine<'p, A: ?Sized> {
+    problem: &'p Problem,
+    arbiter: &'p A,
+    acct: Accounting,
+    /// The alive set `A`: one reusable slot per core (see `alive.rs`).
+    slots: Vec<AliveSlot>,
+    /// The task alive on each core at the start of an interference phase
+    /// (reused per step, so the loop does not allocate).
+    occupants: Vec<Option<TaskId>>,
 }
 
-impl SlotView {
-    /// The finish date of the occupying task given its WCET.
-    pub(crate) fn finish(&self, wcet: Cycles) -> Cycles {
-        self.release + wcet + self.total_inter
-    }
-}
-
-/// The customization points of the incremental analysis: an alive-slot
-/// view plus an interference phase. Everything else — the close/open
-/// fixed point, deadline enforcement, cursor advancement, deadlock
-/// detection, observer eventing and work counters — lives once in
-/// [`run_cursor`].
-///
-/// Contract (what the conformance harness enforces observationally):
-///
-/// * [`StepEngine::slot`] reflects exactly the opens/closes the driver
-///   performed plus the interference accumulated by
-///   [`StepEngine::account`];
-/// * [`StepEngine::account`] performs the per-destination accounting in
-///   the canonical sequential order (see `alive.rs`) and reports per-bank
-///   updates to the observer in that order;
-/// * [`StepEngine::next_finish`] returns the earliest finish date among
-///   busy slots that is strictly after `t` ([`Cycles::MAX`] when idle).
-pub(crate) trait StepEngine {
-    /// Number of per-core slots (the platform's core count).
-    fn cores(&self) -> usize;
-
-    /// The alive task on `core`, or `None` while the core is idle.
-    fn slot(&self, core: usize) -> Option<SlotView>;
-
-    /// Releases `core`'s slot (its task closed at the current cursor).
-    fn close_slot(&mut self, core: usize);
-
-    /// Occupies `core`'s slot with `task` released at `release`.
-    fn open_slot(&mut self, core: usize, task: TaskId, release: Cycles);
-
-    /// Runs the interference phase for the cores newly opened at this
-    /// instant (`newly` is ascending). Implementations must account every
-    /// (destination, source) pair involving a newly opened task exactly
-    /// once, in the canonical per-destination order, update `stats`
-    /// (directly or merged later, as the parallel engine does) and emit
-    /// `Observer::on_interference` events when the observer wants them.
-    ///
-    /// # Errors
-    ///
-    /// Engine-specific abortion of the run; the parallel engine uses this
-    /// to abandon the cursor after a worker panic (the payload is
-    /// re-raised by its caller, so the error value itself is never
-    /// surfaced).
-    fn account<O>(
-        &mut self,
-        newly: &[usize],
-        observer: &mut O,
-        stats: &mut AnalysisStats,
-    ) -> Result<(), AnalysisError>
-    where
-        O: Observer + ?Sized;
-
-    /// The earliest finish date of a busy slot strictly after `t`, or
-    /// [`Cycles::MAX`] when every core is idle. `&mut` so heap-backed
-    /// implementations can drop stale entries while searching; `table` is
-    /// the driver's per-run [`TaskTable`] (for WCET lookups).
-    fn next_finish(&mut self, table: &TaskTable, t: Cycles) -> Cycles;
-
-    /// Freezes the interference state of every busy slot for a
-    /// [`Checkpoint`], or `None` when this engine cannot snapshot its
-    /// slots cheaply. Every shipped engine can: the parallel engine's
-    /// slot table is driver-owned between phases, so it snapshots (and
-    /// records checkpoints) exactly like the sequential engines.
-    fn snapshot_slots(&self) -> Option<Vec<Option<SlotSnapshot>>> {
-        None
-    }
-
-    /// Re-occupies the slots from a checkpoint taken on any engine, as if
-    /// the recorded prefix had just been executed. Called once, before the
-    /// driver loop, on an otherwise fresh engine.
-    fn restore_slots(&mut self, slots: &[Option<SlotSnapshot>]);
-}
-
-/// Scans every busy slot for the earliest finish date strictly after `t`
-/// — the default [`StepEngine::next_finish`] strategy (Algorithm 1,
-/// lines 24–28), shared by the scanning and layer-parallel engines.
-///
-/// After the close/open fixed point no busy slot can still finish at or
-/// before the cursor, so the `fin > t` filter is structural rather than
-/// load-bearing — but it makes the "strictly after `t`" contract hold by
-/// construction (and keeps the `t_next > t` cursor-advance invariant
-/// enforced in release builds, where the `debug_assert!` is compiled
-/// out), instead of relying on every engine's fixed point being exact.
-pub(crate) fn scan_next_finish<E>(engine: &E, table: &TaskTable, t: Cycles) -> Cycles
+impl<'p, A> ScanEngine<'p, A>
 where
-    E: StepEngine + ?Sized,
+    A: Arbiter + ?Sized,
 {
-    let mut t_next = Cycles::MAX;
-    for core in 0..engine.cores() {
-        if let Some(view) = engine.slot(core) {
-            let fin = view.finish(table.wcet(view.task));
-            if fin > t {
-                t_next = t_next.min(fin);
+    fn new(problem: &'p Problem, arbiter: &'p A, options: &AnalysisOptions) -> Self {
+        ScanEngine {
+            problem,
+            arbiter,
+            acct: Accounting::new(problem, arbiter, options.interference_mode),
+            slots: AliveSlot::for_problem(problem),
+            occupants: Vec::with_capacity(problem.mapping().cores()),
+        }
+    }
+
+    /// Runs the interference phase of one cursor step (Algorithm 1, lines
+    /// 17–23): accounts every pair involving a task in `newly` (the cores
+    /// opened at this instant, ascending) exactly once, destination by
+    /// destination, and reports each per-bank update to the observer.
+    ///
+    /// Each destination takes its sources in one fixed order: first the
+    /// newly opened tasks on lower-numbered cores, then — only when the
+    /// destination itself just opened — every other alive core in
+    /// ascending order, skipping the ones the first loop took. No
+    /// per-task "already accounted" set is kept.
+    fn account<O>(&mut self, newly: &[usize], observer: &mut O, stats: &mut AnalysisStats)
+    where
+        O: Observer + ?Sized,
+    {
+        if newly.is_empty() {
+            return;
+        }
+        debug_assert!(newly.windows(2).all(|w| w[0] < w[1]), "newly not ascending");
+        let (problem, arbiter, acct) = (self.problem, self.arbiter, self.acct);
+        let occupants = &mut self.occupants;
+        occupants.clear();
+        occupants.extend(self.slots.iter().map(|s| s.busy.then_some(s.task)));
+        let occupants = &*occupants;
+
+        let mut account = |dest: &mut AliveSlot, core: usize, observer: &mut O| {
+            let src = occupants[core].expect("source core is occupied");
+            let src_core = CoreId::from_index(core);
+            dest.account(problem, arbiter, acct, src, src_core, observer, stats);
+        };
+        for (dest_idx, dest) in self.slots.iter_mut().enumerate() {
+            if !dest.busy {
+                continue;
+            }
+            if newly.binary_search(&dest_idx).is_err() {
+                for &n in newly {
+                    account(dest, n, observer);
+                }
+                continue;
+            }
+            let earlier = &newly[..newly.partition_point(|&n| n < dest_idx)];
+            for &n in earlier {
+                account(dest, n, observer);
+            }
+            // `earlier` is ascending, so one cursor over it finds the
+            // cores to skip.
+            let mut taken = earlier.iter().peekable();
+            for (other, occ) in occupants.iter().enumerate() {
+                if taken.next_if_eq(&&other).is_some() || occ.is_none() || other == dest_idx {
+                    continue;
+                }
+                account(dest, other, observer);
             }
         }
     }
-    t_next
+
+    /// The earliest finish date of a busy slot strictly after `t`, or
+    /// [`Cycles::MAX`] when every core is idle (Algorithm 1, lines 24–28).
+    ///
+    /// After the close/open fixed point no busy slot can still finish at
+    /// or before the cursor, so the `fin > t` filter is structural — but
+    /// it keeps the `t_next > t` cursor-advance invariant enforced in
+    /// release builds, where the `debug_assert!` is compiled out.
+    fn next_finish(&self, table: &TaskTable, t: Cycles) -> Cycles {
+        self.slots
+            .iter()
+            .filter(|s| s.busy)
+            .map(|s| s.finish(table.wcet(s.task)))
+            .filter(|&fin| fin > t)
+            .min()
+            .unwrap_or(Cycles::MAX)
+    }
+
+    /// Freezes the interference state of every busy slot for a
+    /// [`Checkpoint`].
+    fn snapshot_slots(&self) -> Vec<Option<SlotSnapshot>> {
+        self.slots
+            .iter()
+            .map(|s| s.busy.then(|| s.snapshot()))
+            .collect()
+    }
+
+    /// Re-occupies the slots from a checkpoint, as if the recorded prefix
+    /// had just been executed. Called once, before the loop, on a fresh
+    /// engine.
+    fn restore_slots(&mut self, slots: &[Option<SlotSnapshot>]) {
+        debug_assert_eq!(slots.len(), self.slots.len());
+        for (slot, snap) in self.slots.iter_mut().zip(slots) {
+            if let Some(snap) = snap {
+                slot.restore(snap);
+            }
+        }
+    }
 }
 
-/// Where [`resume_cursor`] re-enters the loop: a checkpoint plus the
-/// timings of the run that recorded it (the prefix's closed tasks keep
-/// their prior timings verbatim — the prefix is bit-identical by the
-/// checkpoint admission rule).
+/// Where [`drive`] re-enters the loop: a checkpoint plus the timings of
+/// the run that recorded it (the prefix's closed tasks keep their prior
+/// timings verbatim — the prefix is bit-identical by the checkpoint
+/// admission rule).
 pub(crate) struct Resume<'a> {
     /// The driver state to re-enter at.
     pub(crate) checkpoint: &'a Checkpoint,
@@ -210,97 +207,47 @@ pub(crate) struct Resume<'a> {
     pub(crate) prior: &'a [TaskTiming],
 }
 
-/// Drives one incremental analysis to completion over `engine` — the
-/// single authoritative copy of Algorithm 1's close/open/advance loop.
+/// Drives one incremental analysis of `problem` under `arbiter` to
+/// completion — the single copy of Algorithm 1's close/open/advance loop.
 ///
-/// Returns the per-task timings (indexed by task) and the driver-side
-/// work counters (`cursor_steps` and `max_alive` are always exact here;
-/// `ibus_calls`/`pairs_considered` are whatever `engine.account`
-/// accumulated into `stats` — the parallel engine merges its workers'
-/// counters afterwards instead).
+/// Returns the per-task timings (indexed by task) and the work counters.
+///
+/// With `resume`, the loop re-enters at the checkpoint instead of at
+/// `t = 0` and replays only the suffix of the run. The observer sees only
+/// the suffix's events (the stream is a suffix of the full run's stream);
+/// timings and stats come back complete — prefix timings are taken from
+/// `resume.prior`, prefix counters from the checkpoint — and are
+/// bit-identical to a from-scratch run's. The caller is responsible for
+/// the admission rule: `problem` must agree with the recorded run on
+/// everything the checkpoint's prefix observed (see
+/// [`Checkpoint::admits`](crate::checkpoint::Checkpoint::admits)).
+///
+/// With `recorder`, the run records [`Checkpoint`]s of its own state as
+/// it goes.
 ///
 /// # Errors
 ///
 /// * [`AnalysisError::Cancelled`] when `options.cancel` fires,
 /// * [`AnalysisError::DeadlineExceeded`] /
 ///   [`AnalysisError::TaskDeadlineMissed`] on deadline violations,
-/// * [`AnalysisError::Deadlock`] on inconsistent hand-built inputs,
-/// * whatever `engine.account` returns.
-pub(crate) fn run_cursor<E, O>(
+/// * [`AnalysisError::Deadlock`] on inconsistent hand-built inputs.
+pub(crate) fn drive<A, O>(
     problem: &Problem,
+    arbiter: &A,
     options: &AnalysisOptions,
-    engine: &mut E,
-    observer: &mut O,
-) -> Result<(Vec<TaskTiming>, AnalysisStats), AnalysisError>
-where
-    E: StepEngine,
-    O: Observer + ?Sized,
-{
-    drive(problem, options, engine, observer, None, None)
-}
-
-/// [`run_cursor`] that additionally records [`Checkpoint`]s into `log`
-/// (no-op on engines that cannot snapshot their slots).
-pub(crate) fn run_cursor_recorded<E, O>(
-    problem: &Problem,
-    options: &AnalysisOptions,
-    engine: &mut E,
-    observer: &mut O,
-    log: &mut CheckpointLog,
-) -> Result<(Vec<TaskTiming>, AnalysisStats), AnalysisError>
-where
-    E: StepEngine,
-    O: Observer + ?Sized,
-{
-    drive(problem, options, engine, observer, None, Some(log))
-}
-
-/// Re-enters the cursor loop at `resume.checkpoint` on a fresh `engine`,
-/// replaying only the suffix of the run. The observer sees only the
-/// suffix's events (the stream is a suffix of the full run's stream);
-/// timings and stats come back complete — prefix timings are taken from
-/// `resume.prior`, prefix counters from the checkpoint — and are
-/// bit-identical to a from-scratch run's.
-///
-/// The caller is responsible for the admission rule: `problem` must agree
-/// with the recorded run on everything the checkpoint's prefix observed
-/// (see [`Checkpoint::admits`](crate::checkpoint::Checkpoint::admits)).
-///
-/// # Errors
-///
-/// As [`run_cursor`].
-pub(crate) fn resume_cursor<E, O>(
-    problem: &Problem,
-    options: &AnalysisOptions,
-    engine: &mut E,
-    observer: &mut O,
-    resume: Resume<'_>,
-    log: Option<&mut CheckpointLog>,
-) -> Result<(Vec<TaskTiming>, AnalysisStats), AnalysisError>
-where
-    E: StepEngine,
-    O: Observer + ?Sized,
-{
-    drive(problem, options, engine, observer, Some(resume), log)
-}
-
-fn drive<E, O>(
-    problem: &Problem,
-    options: &AnalysisOptions,
-    engine: &mut E,
     observer: &mut O,
     resume: Option<Resume<'_>>,
     mut recorder: Option<&mut CheckpointLog>,
 ) -> Result<(Vec<TaskTiming>, AnalysisStats), AnalysisError>
 where
-    E: StepEngine,
+    A: Arbiter + ?Sized,
     O: Observer + ?Sized,
 {
     let graph = problem.graph();
     let mapping = problem.mapping();
     let n = graph.len();
-    let cores = engine.cores();
-    debug_assert_eq!(cores, mapping.cores());
+    let cores = mapping.cores();
+    let mut engine = ScanEngine::new(problem, arbiter, options);
 
     // One gate load for the whole run; the per-phase sites below are
     // plain `Option` checks.
@@ -398,16 +345,14 @@ where
         if let Some(log) = recorder.as_deref_mut() {
             if log.wants(stats.cursor_steps) {
                 let started = DriveProfile::begin(prof.as_ref());
-                if let Some(slots) = engine.snapshot_slots() {
-                    log.record(Checkpoint {
-                        step: stats.cursor_steps,
-                        t,
-                        next_idx: next_idx.clone(),
-                        mr_ptr,
-                        stats,
-                        slots,
-                    });
-                }
+                log.record(Checkpoint {
+                    step: stats.cursor_steps,
+                    t,
+                    next_idx: next_idx.clone(),
+                    mr_ptr,
+                    stats,
+                    slots: engine.snapshot_slots(),
+                });
                 if let Some(p) = prof.as_ref() {
                     p.end("analysis.checkpoint_write", &p.checkpoint_write, started);
                 }
@@ -423,34 +368,34 @@ where
             let mut changed = false;
 
             // C ← {τ ∈ A | rel + WCET + inter = t} (Algorithm 1, line 3).
-            for core_idx in 0..cores {
-                let Some(view) = engine.slot(core_idx) else {
+            for (core_idx, slot) in engine.slots.iter_mut().enumerate() {
+                if !slot.busy {
                     continue;
-                };
-                let wcet = table.wcet(view.task);
-                if view.finish(wcet) != t {
+                }
+                let (task, wcet) = (slot.task, table.wcet(slot.task));
+                if slot.finish(wcet) != t {
                     continue;
                 }
                 let timing = TaskTiming {
-                    release: view.release,
+                    release: slot.release,
                     wcet,
-                    interference: view.total_inter,
+                    interference: slot.total_inter,
                 };
                 if options.task_deadlines {
-                    if let Some(deadline) = graph.task(view.task).deadline() {
+                    if let Some(deadline) = graph.task(task).deadline() {
                         if timing.response_time() > deadline {
                             return Err(AnalysisError::TaskDeadlineMissed {
-                                task: view.task,
+                                task,
                                 response: timing.response_time(),
                                 deadline,
                             });
                         }
                     }
                 }
-                engine.close_slot(core_idx);
-                timings[view.task.index()] = Some(timing);
-                observer.on_close(view.task, CoreId::from_index(core_idx), t);
-                for &succ in table.successors(view.task) {
+                slot.close();
+                timings[task.index()] = Some(timing);
+                observer.on_close(task, CoreId::from_index(core_idx), t);
+                for &succ in table.successors(task) {
                     pending[succ.index()] -= 1; // lines 5–6
                 }
                 alive_count -= 1;
@@ -462,7 +407,7 @@ where
             newly.clear();
             #[allow(clippy::needless_range_loop)] // index drives several arrays
             for core_idx in 0..cores {
-                if engine.slot(core_idx).is_some() {
+                if engine.slots[core_idx].busy {
                     continue;
                 }
                 let order = mapping.order(CoreId::from_index(core_idx));
@@ -471,7 +416,7 @@ where
                 };
                 if pending[head.index()] == 0 && table.min_release(head) <= t {
                     next_idx[core_idx] += 1;
-                    engine.open_slot(core_idx, head, t);
+                    engine.slots[core_idx].open(head, t);
                     is_open[head.index()] = true;
                     alive_count += 1;
                     stats.max_alive = stats.max_alive.max(alive_count);
@@ -482,9 +427,9 @@ where
             }
 
             // Interference between new tasks and the rest of A, both
-            // directions (lines 17–23) — the engine's customization point.
+            // directions (lines 17–23).
             let account_started = DriveProfile::begin(prof.as_ref());
-            engine.account(&newly, observer, &mut stats)?;
+            engine.account(&newly, observer, &mut stats);
             if let Some(p) = prof.as_ref() {
                 if !newly.is_empty() {
                     p.end("analysis.account", &p.account, account_started);
@@ -501,11 +446,8 @@ where
 
         // Unschedulability check against the optional global deadline.
         if let Some(deadline) = options.deadline {
-            for core_idx in 0..cores {
-                let Some(view) = engine.slot(core_idx) else {
-                    continue;
-                };
-                let fin = view.finish(table.wcet(view.task));
+            for slot in engine.slots.iter().filter(|s| s.busy) {
+                let fin = slot.finish(table.wcet(slot.task));
                 if fin > deadline {
                     return Err(AnalysisError::DeadlineExceeded {
                         makespan: fin,

@@ -35,34 +35,24 @@
 //! fixed-point iteration is needed: the complexity is `O(c²·b·n²)` — with
 //! platform constants, **O(n²)** against the original **O(n⁴)**.
 //!
-//! # Engines
+//! # Entry points
 //!
-//! The close/open/advance cursor loop exists **once**, in the internal
-//! `engine` module's `run_cursor` driver; the three analysis entry
-//! points are thin *step engines* plugged into it (an alive-slot view
-//! plus an interference phase — see `ARCHITECTURE.md` "The step
-//! engine"). All engines share the same slot machinery (dense,
-//! generation-stamped per-core buffers — the hot path performs no heap
-//! allocation) and produce **bit-identical** schedules, work counters
-//! and observer event streams:
+//! One cursor loop (the internal `engine` module) runs every analysis.
+//! Its alive set lives in dense, generation-stamped per-core slots, so
+//! the hot path performs no heap allocation.
 //!
-//! * [`analyze`] / [`analyze_with`] — the scanning cursor of the paper
-//!   (lines 24–28), the default;
-//! * [`analyze_event_driven`] — a lazily invalidated heap cursor, kept as
-//!   the cursor-cost ablation;
-//! * [`analyze_parallel`] — the layer-parallel engine: at every instant
-//!   the alive set is an anti-chain ("layer") of the DAG whose members
-//!   are updated concurrently by a persistent worker pool partitioned by
-//!   destination core. Phases narrower than a measured engagement
-//!   threshold run inline (never slower than sequential); the threshold
-//!   in effect is reported via [`ParallelInfo`]. See the
-//!   [`parallel` module docs](analyze_parallel) and `ARCHITECTURE.md`.
+//! * [`analyze`] / [`analyze_with`] — a full run;
+//! * [`analyze_checkpointed_with`] — a full run that records
+//!   [`Checkpoint`]s into a [`CheckpointLog`];
+//! * [`resume_analyze_with`] / [`analyze_delta_with`] — re-enter a
+//!   recorded run after a local mapping change and replay only the
+//!   suffix (the DSE inner loop).
 //!
-//! The [`testkit`] module runs any engine on any scenario and captures
-//! everything observable; the cross-engine conformance harness
-//! (`tests/conformance.rs`) uses it to pin all engines — plus the
-//! exhaustive `mia-baseline` oracle — to the same answers on generated
-//! systems covering every arbiter, interference mode and pool size.
+//! The [`testkit`] module runs a scenario and captures everything
+//! observable; the conformance harness (`tests/conformance.rs`) uses it
+//! to pin full and resumed runs to the same schedules, work counters and
+//! event streams, and to the exhaustive `mia-baseline` oracle, on
+//! generated systems covering every arbiter and interference mode.
 //!
 //! # Example
 //!
@@ -99,22 +89,16 @@ mod cancel;
 mod checkpoint;
 mod engine;
 mod error;
-mod events;
 mod observer;
 mod options;
-mod parallel;
 pub mod testkit;
 
 pub use analysis::{
-    analyze, analyze_checkpointed_with, analyze_delta_with, analyze_with, resume_analyze_with,
-    AnalysisReport, AnalysisStats, ParallelInfo,
+    analyze, analyze_checkpointed_with, analyze_delta_with, analyze_parallel_with, analyze_with,
+    resume_analyze_with, AnalysisReport, AnalysisStats,
 };
 pub use cancel::CancelToken;
 pub use checkpoint::{Checkpoint, CheckpointLog};
 pub use error::AnalysisError;
-pub use events::{
-    analyze_event_driven, analyze_event_driven_with, resume_analyze_event_driven_with,
-};
 pub use observer::{NoopObserver, Observer};
 pub use options::{AnalysisOptions, InterferenceMode};
-pub use parallel::{analyze_parallel, analyze_parallel_with, resume_analyze_parallel_with};

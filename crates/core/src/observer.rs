@@ -34,27 +34,13 @@ pub trait Observer {
     fn on_interference(&mut self, task: TaskId, bank: BankId, total: Cycles) {
         let _ = (task, bank, total);
     }
-
-    /// Whether this observer consumes [`Observer::on_interference`]
-    /// events. The layer-parallel engine collects per-bank interference
-    /// events from its worker pool and relays them in the canonical
-    /// sequential order **only when this returns `true`** — override it
-    /// to `false` in observers that ignore interference updates to keep
-    /// the parallel hot path relay-free ([`NoopObserver`] already does).
-    fn wants_interference(&self) -> bool {
-        true
-    }
 }
 
 /// An [`Observer`] that ignores every event.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopObserver;
 
-impl Observer for NoopObserver {
-    fn wants_interference(&self) -> bool {
-        false
-    }
-}
+impl Observer for NoopObserver {}
 
 #[cfg(test)]
 mod tests {

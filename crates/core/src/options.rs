@@ -57,18 +57,6 @@ pub struct AnalysisOptions {
     pub task_deadlines: bool,
     /// Cooperative cancellation flag, checked at every cursor step.
     pub cancel: Option<CancelToken>,
-    /// Engagement threshold of the parallel engine's worker pool: the
-    /// minimum alive-layer width at which an interference phase is fanned
-    /// out to the pool instead of run inline on the driver.
-    ///
-    /// `None` (the default) auto-tunes the threshold from a measured
-    /// handoff/accounting cost ratio — and skips the pool entirely on
-    /// hosts without usable parallelism. `Some(w)` pins the threshold to
-    /// `w` and always spawns the pool (tests use `Some(1)` to force every
-    /// phase through the fan-out path regardless of host). Either way the
-    /// results are bit-identical; only wall-clock time changes. Ignored by
-    /// the sequential engines.
-    pub parallel_engage: Option<usize>,
 }
 
 impl AnalysisOptions {
@@ -98,13 +86,6 @@ impl AnalysisOptions {
     /// Attaches a cancellation token.
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
-        self
-    }
-
-    /// Pins the parallel engine's engagement threshold (see
-    /// [`AnalysisOptions::parallel_engage`]).
-    pub fn parallel_engage(mut self, width: usize) -> Self {
-        self.parallel_engage = Some(width);
         self
     }
 
@@ -139,15 +120,6 @@ mod tests {
         assert_eq!(o.interference_mode, InterferenceMode::AggregateByCore);
         assert!(!o.task_deadlines);
         assert!(!o.is_cancelled());
-        assert_eq!(o.parallel_engage, None);
-    }
-
-    #[test]
-    fn parallel_engage_pins_the_threshold() {
-        assert_eq!(
-            AnalysisOptions::new().parallel_engage(4).parallel_engage,
-            Some(4)
-        );
     }
 
     #[test]

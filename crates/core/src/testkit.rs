@@ -1,22 +1,21 @@
-//! Cross-engine test support: run any incremental engine on any scenario
-//! and capture **everything observable** — schedule, work counters and
-//! the full observer event stream.
+//! Test support: run the incremental analysis on any scenario and
+//! capture **everything observable** — schedule, work counters and the
+//! full observer event stream.
 //!
 //! The paper's central claim is that the incremental analysis is
 //! semantically equivalent to the exhaustive baseline while scaling to
-//! many-core systems. That only holds if every cursor implementation
-//! agrees bit-for-bit, so the conformance harness
-//! (`crates/core/tests/conformance.rs`) drives all [`EngineKind`]s
-//! through the same scenarios — one N-way differential oracle instead of
-//! pairwise checks. This module is the harness's vocabulary; it is also
-//! useful for ad-hoc debugging ("what exactly did engine X emit on this
+//! many-core systems, and the DSE relies on a resumed run being
+//! indistinguishable from a full one. The conformance harness
+//! (`crates/core/tests/conformance.rs`) pins both with this module's
+//! [`run`], [`record`] and [`run_resumed`]; they are also useful for
+//! ad-hoc debugging ("what exactly did the cursor emit on this
 //! workload?") and for downstream crates testing custom observers.
 //!
 //! # Example
 //!
 //! ```
 //! use mia_arbiter::RoundRobin;
-//! use mia_core::testkit::EngineKind;
+//! use mia_core::testkit::{self, Event};
 //! use mia_core::AnalysisOptions;
 //! use mia_model::{Cycles, Mapping, Platform, Problem, Task, TaskGraph};
 //!
@@ -30,25 +29,19 @@
 //!     Mapping::from_assignment(&g, &[0, 1])?,
 //!     Platform::new(2, 2),
 //! )?;
-//! let opts = AnalysisOptions::new();
-//! let reference = EngineKind::Sequential.run(&p, &RoundRobin::new(), &opts)?;
-//! for kind in EngineKind::all(&[2, 4]) {
-//!     let run = kind.run(&p, &RoundRobin::new(), &opts)?;
-//!     assert_eq!(run, reference, "{kind} diverged");
-//! }
+//! let run = testkit::run(&p, &RoundRobin::new(), &AnalysisOptions::new())?;
+//! assert_eq!(run.schedule.makespan(), Cycles(20));
+//! assert_eq!(run.events[0], Event::Cursor(Cycles::ZERO));
 //! # Ok(())
 //! # }
 //! ```
-
-use std::fmt;
 
 use mia_model::arbiter::Arbiter;
 use mia_model::{BankId, CoreId, Cycles, Problem, Schedule, TaskId};
 
 use crate::{
-    analyze_event_driven_with, analyze_parallel_with, analyze_with,
-    resume_analyze_event_driven_with, resume_analyze_parallel_with, resume_analyze_with,
-    AnalysisError, AnalysisOptions, AnalysisStats, Checkpoint, CheckpointLog, Observer,
+    analyze_checkpointed_with, analyze_with, resume_analyze_with, AnalysisError, AnalysisOptions,
+    AnalysisReport, AnalysisStats, Checkpoint, CheckpointLog, Observer,
 };
 
 /// One event of the incremental analysis, as delivered through
@@ -91,9 +84,9 @@ impl Observer for EventLog {
     }
 }
 
-/// Everything observable about one engine run. Two runs comparing equal
-/// means the engines are indistinguishable to any caller: same schedule,
-/// same work counters, same observer event stream.
+/// Everything observable about one analysis run. Two runs comparing
+/// equal are indistinguishable to any caller: same schedule, same work
+/// counters, same observer event stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineRun {
     /// The computed schedule.
@@ -104,193 +97,82 @@ pub struct EngineRun {
     pub events: Vec<Event>,
 }
 
-/// The incremental engines behind the internal step-engine trait (see
-/// ARCHITECTURE.md "The step engine"), enumerable so harnesses can
-/// sweep all of them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// The paper's scanning cursor ([`crate::analyze_with`]).
-    Sequential,
-    /// The heap cursor ([`crate::analyze_event_driven_with`]).
-    EventDriven,
-    /// The layer-parallel engine with this worker count
-    /// ([`crate::analyze_parallel_with`]).
-    Parallel {
-        /// Worker pool size (0 = available parallelism).
-        threads: usize,
-    },
-    /// The layer-parallel engine with a pinned engagement threshold
-    /// ([`AnalysisOptions::parallel_engage`]): the pool is spawned even
-    /// on hosts without usable parallelism, so the harness exercises the
-    /// fan-out path everywhere.
-    ParallelPinned {
-        /// Worker pool size (0 = available parallelism).
-        threads: usize,
-        /// The pinned engagement threshold (1 = fan out every phase).
-        engage_width: usize,
-    },
-}
-
-impl fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineKind::Sequential => write!(f, "sequential"),
-            EngineKind::EventDriven => write!(f, "event-driven"),
-            EngineKind::Parallel { threads } => write!(f, "parallel({threads})"),
-            EngineKind::ParallelPinned {
-                threads,
-                engage_width,
-            } => write!(f, "parallel({threads},engage={engage_width})"),
+impl EngineRun {
+    fn new(report: AnalysisReport, log: EventLog) -> Self {
+        EngineRun {
+            schedule: report.schedule,
+            stats: report.stats,
+            events: log.events,
         }
     }
 }
 
-impl EngineKind {
-    /// Every engine: sequential, event-driven, and per requested thread
-    /// count one auto-gated parallel entry plus one with the engagement
-    /// threshold pinned to 1 (every phase fanned out — the pool runs even
-    /// where the auto gate would fall through to the sequential path).
-    pub fn all(thread_counts: &[usize]) -> Vec<EngineKind> {
-        let mut kinds = vec![EngineKind::Sequential, EngineKind::EventDriven];
-        for &threads in thread_counts {
-            kinds.push(EngineKind::Parallel { threads });
-            kinds.push(EngineKind::ParallelPinned {
-                threads,
-                engage_width: 1,
-            });
-        }
-        kinds
-    }
+/// Runs the analysis on `problem` under `arbiter` and `options`,
+/// recording the full event stream.
+///
+/// # Errors
+///
+/// As [`crate::analyze_with`].
+pub fn run<A>(
+    problem: &Problem,
+    arbiter: &A,
+    options: &AnalysisOptions,
+) -> Result<EngineRun, AnalysisError>
+where
+    A: Arbiter + ?Sized,
+{
+    let mut log = EventLog::default();
+    let report = analyze_with(problem, arbiter, options, &mut log)?;
+    Ok(EngineRun::new(report, log))
+}
 
-    /// Runs this engine on `problem` under `arbiter` and `options`,
-    /// recording the full event stream.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the underlying analysis returns (see
-    /// [`crate::analyze_with`]).
-    pub fn run<A>(
-        self,
-        problem: &Problem,
-        arbiter: &A,
-        options: &AnalysisOptions,
-    ) -> Result<EngineRun, AnalysisError>
-    where
-        A: Arbiter + Sync + ?Sized,
-    {
-        let mut log = EventLog::default();
-        let report = match self {
-            EngineKind::Sequential => analyze_with(problem, arbiter, options, &mut log)?,
-            EngineKind::EventDriven => {
-                analyze_event_driven_with(problem, arbiter, options, &mut log)?
-            }
-            EngineKind::Parallel { threads } => {
-                analyze_parallel_with(problem, arbiter, options, threads, &mut log)?
-            }
-            EngineKind::ParallelPinned {
-                threads,
-                engage_width,
-            } => {
-                let pinned = options.clone().parallel_engage(engage_width);
-                analyze_parallel_with(problem, arbiter, &pinned, threads, &mut log)?
-            }
-        };
-        Ok(EngineRun {
-            schedule: report.schedule,
-            stats: report.stats,
-            events: log.events,
-        })
-    }
+/// [`run`] that also records checkpoints into `checkpoints` — the
+/// recording side of the delta-resume conformance checks.
+///
+/// # Errors
+///
+/// As [`crate::analyze_with`].
+pub fn record<A>(
+    problem: &Problem,
+    arbiter: &A,
+    options: &AnalysisOptions,
+    checkpoints: &mut CheckpointLog,
+) -> Result<EngineRun, AnalysisError>
+where
+    A: Arbiter + ?Sized,
+{
+    let mut log = EventLog::default();
+    let report = analyze_checkpointed_with(problem, arbiter, options, &mut log, checkpoints)?;
+    Ok(EngineRun::new(report, log))
+}
 
-    /// Runs the scanning engine on `problem`, recording checkpoints into
-    /// `log` alongside the full event stream — the recording side of the
-    /// delta-resume conformance checks.
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::analyze_with`].
-    pub fn record<A>(
-        problem: &Problem,
-        arbiter: &A,
-        options: &AnalysisOptions,
-        log: &mut CheckpointLog,
-    ) -> Result<EngineRun, AnalysisError>
-    where
-        A: Arbiter + Sync + ?Sized,
-    {
-        let mut events = EventLog::default();
-        let report = crate::analyze_checkpointed_with(problem, arbiter, options, &mut events, log)?;
-        Ok(EngineRun {
-            schedule: report.schedule,
-            stats: report.stats,
-            events: events.events,
-        })
-    }
-
-    /// Resumes this engine from `checkpoint` (recorded by
-    /// [`EngineKind::record`] for the run that produced `prior`),
-    /// capturing the suffix event stream. The returned schedule and stats
-    /// are complete; `events` holds only the resumed suffix — the harness
-    /// pins it as a strict suffix of the full run's stream.
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::analyze_with`].
-    pub fn run_resumed<A>(
-        self,
-        problem: &Problem,
-        arbiter: &A,
-        options: &AnalysisOptions,
-        checkpoint: &Checkpoint,
-        prior: &Schedule,
-    ) -> Result<EngineRun, AnalysisError>
-    where
-        A: Arbiter + Sync + ?Sized,
-    {
-        let mut log = EventLog::default();
-        let report = match self {
-            EngineKind::Sequential => {
-                resume_analyze_with(problem, arbiter, options, &mut log, checkpoint, prior, None)?
-            }
-            EngineKind::EventDriven => resume_analyze_event_driven_with(
-                problem, arbiter, options, &mut log, checkpoint, prior, None,
-            )?,
-            EngineKind::Parallel { threads } => resume_analyze_parallel_with(
-                problem, arbiter, options, threads, &mut log, checkpoint, prior, None,
-            )?,
-            EngineKind::ParallelPinned {
-                threads,
-                engage_width,
-            } => {
-                let pinned = options.clone().parallel_engage(engage_width);
-                resume_analyze_parallel_with(
-                    problem, arbiter, &pinned, threads, &mut log, checkpoint, prior, None,
-                )?
-            }
-        };
-        Ok(EngineRun {
-            schedule: report.schedule,
-            stats: report.stats,
-            events: log.events,
-        })
-    }
+/// Resumes from `checkpoint` (recorded by [`record`] for the run that
+/// produced `prior`), capturing the suffix event stream. The returned
+/// schedule and stats are complete; `events` holds only the resumed
+/// suffix — the harness pins it as a strict suffix of the full run's
+/// stream.
+///
+/// # Errors
+///
+/// As [`crate::analyze_with`].
+pub fn run_resumed<A>(
+    problem: &Problem,
+    arbiter: &A,
+    options: &AnalysisOptions,
+    checkpoint: &Checkpoint,
+    prior: &Schedule,
+) -> Result<EngineRun, AnalysisError>
+where
+    A: Arbiter + ?Sized,
+{
+    let mut log = EventLog::default();
+    let report = resume_analyze_with(problem, arbiter, options, &mut log, checkpoint, prior, None)?;
+    Ok(EngineRun::new(report, log))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn engine_kinds_enumerate_and_render() {
-        let kinds = EngineKind::all(&[2, 16]);
-        assert_eq!(kinds.len(), 6);
-        assert_eq!(kinds[0].to_string(), "sequential");
-        assert_eq!(kinds[1].to_string(), "event-driven");
-        assert_eq!(kinds[2].to_string(), "parallel(2)");
-        assert_eq!(kinds[3].to_string(), "parallel(2,engage=1)");
-        assert_eq!(kinds[4].to_string(), "parallel(16)");
-        assert_eq!(kinds[5].to_string(), "parallel(16,engage=1)");
-    }
 
     #[test]
     fn event_log_records_in_order() {
@@ -308,6 +190,5 @@ mod tests {
                 Event::Close(TaskId(1), CoreId(0), Cycles(9)),
             ]
         );
-        assert!(log.wants_interference());
     }
 }

@@ -1,29 +1,30 @@
-//! The N-way cross-engine conformance harness.
+//! The conformance harness of the incremental analysis.
 //!
 //! The paper's central claim is that the incremental analysis is
 //! *semantically equivalent* to the exhaustive baseline while scaling to
-//! many-core systems. Every cursor implementation must therefore agree
-//! **bit for bit** — a single divergence in the request-service event
-//! order silently changes interference bounds. This suite replaces the
-//! old pairwise checks (`equivalence.rs`, `parallel_equivalence.rs`,
-//! which remain as focused regressions) with one differential oracle:
+//! many-core systems. A single divergence in the request-service event
+//! order silently changes interference bounds, so this suite pins the
+//! scanning cursor **bit for bit**:
 //!
 //! * one scenario generator (random layered DAGs via `mia-gen`, plus
-//!   structured and degenerate topologies) drives **every** engine —
-//!   sequential scan, event-driven heap, layer-parallel at several pool
-//!   sizes — through the same systems, and
-//! * asserts identical schedules, identical work counters and identical
-//!   observer event streams across all of them, with `mia-baseline`'s
-//!   independent double fixed point as a fourth oracle (bit-identical
-//!   schedules in the exact aggregation mode, the one it implements).
+//!   structured and degenerate topologies) drives the analysis through
+//!   every registered arbiter and both interference modes, and
+//! * `mia-baseline`'s independent double fixed point must settle on the
+//!   same schedule (its `MergeByCore` grouping against
+//!   `AggregateByCore`, its `PairwiseTasks` grouping against
+//!   `PairwiseAdditive`), while
+//! * runs resumed from recorded checkpoints must reproduce the full
+//!   run's schedule, work counters and the suffix of its observer event
+//!   stream.
 //!
 //! Coverage is exhaustive by construction, not by sampling: the
 //! deterministic sweep below iterates every registered arbiter × every
-//! interference mode × every pool size; the proptest on top samples the
-//! same space with random workload shapes. The per-suite case count is
-//! pinned (`CASES`) so CI runs a fixed, reproducible workload.
+//! interference mode; the proptest on top samples the same space with
+//! random workload shapes. The per-suite case count is pinned (`CASES`)
+//! so CI runs a fixed, reproducible workload.
 
-use mia_core::testkit::{EngineKind, EngineRun, Event};
+use mia_baseline::{AggregationMode, BaselineOptions};
+use mia_core::testkit::{self, EngineRun, Event};
 use mia_core::{
     analyze_delta_with, AnalysisOptions, CheckpointLog, InterferenceMode, NoopObserver,
 };
@@ -33,10 +34,6 @@ use proptest::prelude::*;
 
 /// Pinned proptest case count (referenced by the dedicated CI job).
 const CASES: u32 = 24;
-
-/// Pool sizes the parallel engine is pinned at: a small pool, an uneven
-/// core/worker split, and one worker per core of the MPPA cluster.
-const THREAD_COUNTS: [usize; 3] = [2, 3, 16];
 
 /// Interference modes under test (every variant of the enum).
 const MODES: [InterferenceMode; 2] = [
@@ -58,73 +55,65 @@ fn workload(family: Family, total: usize, seed: u64) -> Problem {
         .expect("valid workload")
 }
 
-/// Runs one scenario through every engine and asserts that everything
-/// observable is bit-identical; in the exact aggregation mode the
-/// `mia-baseline` double fixed point must settle on the same schedule.
-/// Returns the reference run for scenario-level follow-up assertions.
+/// Asserts that `mia-baseline`, run with the grouping that matches
+/// `mode`, settles on `schedule`.
+fn assert_matches_baseline(
+    problem: &Problem,
+    arbiter: &(dyn Arbiter + Send + Sync),
+    mode: InterferenceMode,
+    schedule: &mia_model::Schedule,
+    label: &str,
+) {
+    let aggregation = match mode {
+        InterferenceMode::PairwiseAdditive => AggregationMode::PairwiseTasks,
+        _ => AggregationMode::MergeByCore,
+    };
+    let options = BaselineOptions::new().aggregation(aggregation);
+    let baseline = mia_baseline::analyze_with(problem, arbiter, &options)
+        .unwrap_or_else(|e| panic!("{label}: baseline failed: {e}"));
+    assert_eq!(
+        &baseline.schedule, schedule,
+        "{label}: baseline oracle diverged"
+    );
+}
+
+/// Runs one scenario and pins its schedule to the `mia-baseline` oracle.
+/// Returns the run for scenario-level follow-up assertions.
 fn assert_conformance(
     problem: &Problem,
     arbiter: &(dyn Arbiter + Send + Sync),
     mode: InterferenceMode,
-    threads: &[usize],
     label: &str,
 ) -> EngineRun {
     let options = AnalysisOptions::new().interference_mode(mode);
-    let reference = EngineKind::Sequential
-        .run(problem, arbiter, &options)
-        .unwrap_or_else(|e| panic!("{label}: sequential failed: {e}"));
-    for kind in EngineKind::all(threads) {
-        let run = kind
-            .run(problem, arbiter, &options)
-            .unwrap_or_else(|e| panic!("{label}: {kind} failed: {e}"));
-        assert_eq!(
-            run.schedule, reference.schedule,
-            "{label}: {kind} schedule diverged"
-        );
-        assert_eq!(
-            run.stats, reference.stats,
-            "{label}: {kind} work counters diverged"
-        );
-        assert_eq!(
-            run.events, reference.events,
-            "{label}: {kind} observer stream diverged"
-        );
-    }
-    if mode == InterferenceMode::AggregateByCore {
-        let baseline = mia_baseline::analyze(problem, arbiter)
-            .unwrap_or_else(|e| panic!("{label}: baseline failed: {e}"));
-        assert_eq!(
-            baseline, reference.schedule,
-            "{label}: baseline oracle diverged"
-        );
-    }
-    reference
+    let run = testkit::run(problem, arbiter, &options)
+        .unwrap_or_else(|e| panic!("{label}: analysis failed: {e}"));
+    assert_matches_baseline(problem, arbiter, mode, &run.schedule, label);
+    run
 }
 
 /// The deterministic exhaustive sweep: every registered arbiter × every
-/// interference mode × every pinned pool size, on two workload shapes
-/// each (a deep fixed-layer-size DAG and a wide fixed-layer-count DAG)
-/// — 84 scenarios, comfortably over the 64 the roadmap requires, each
-/// compared across four engines.
+/// interference mode × three seeds, on two workload shapes each (a deep
+/// fixed-layer-size DAG and a wide fixed-layer-count DAG) — 84
+/// scenarios, comfortably over the 64 the roadmap requires.
 #[test]
-fn every_arbiter_mode_and_pool_size_conforms() {
+fn every_arbiter_and_mode_conforms() {
     let mut scenarios = 0usize;
     for (arb_idx, arbiter) in arbiters().iter().enumerate() {
         for mode in MODES {
-            for &threads in &THREAD_COUNTS {
+            for variant in [2u64, 3, 16] {
                 for (family, total) in [
                     (Family::FixedLayerSize(16), 48),
                     (Family::FixedLayers(4), 72),
                 ] {
-                    let seed = 1_000 + 97 * arb_idx as u64 + threads as u64;
+                    let seed = 1_000 + 97 * arb_idx as u64 + variant;
                     let problem = workload(family, total, seed);
                     let label = format!(
-                        "{} / {mode:?} / {threads} threads / {} n={total} seed={seed}",
+                        "{} / {mode:?} / {} n={total} seed={seed}",
                         arbiter.name(),
                         family.label(),
                     );
-                    let run =
-                        assert_conformance(&problem, arbiter.as_ref(), mode, &[threads], &label);
+                    let run = assert_conformance(&problem, arbiter.as_ref(), mode, &label);
                     // The oracle must not be vacuous: schedules carry
                     // real contention and streams carry real events.
                     assert!(run.stats.ibus_calls > 0, "{label}: no IBUS calls");
@@ -164,7 +153,6 @@ fn structured_and_degenerate_topologies_conform() {
                     &problem,
                     arbiter.as_ref(),
                     mode,
-                    &THREAD_COUNTS,
                     &format!("{name} under {}", arbiter.name()),
                 );
             }
@@ -176,9 +164,9 @@ fn structured_and_degenerate_topologies_conform() {
 /// avionics case study and the committed SDF3 fixture, expanded exactly
 /// as `mia_bench::sweep::SweepFamily` expands them (layered-cyclic
 /// mapping on the MPPA cluster). Every registered arbiter × every
-/// interference mode runs through every engine — 56 scenarios — and the
-/// `mia-baseline` oracle pins the schedules bit-identically, so the new
-/// families are as trustworthy as the synthetic ones.
+/// interference mode — 28 scenarios — is pinned bit-identically to the
+/// `mia-baseline` oracle, so these families are as trustworthy as the
+/// synthetic ones.
 #[test]
 fn sdf_benchmark_families_conform() {
     let fixture = mia_sdf::parse_sdf3(include_str!("../../../examples/fixture.sdf3"))
@@ -197,69 +185,60 @@ fn sdf_benchmark_families_conform() {
         for arbiter in arbiters() {
             for mode in MODES {
                 let label = format!("{name} ×{iterations} / {mode:?} under {}", arbiter.name());
-                let run =
-                    assert_conformance(&problem, arbiter.as_ref(), mode, &THREAD_COUNTS, &label);
+                let run = assert_conformance(&problem, arbiter.as_ref(), mode, &label);
                 assert!(run.stats.ibus_calls > 0, "{label}: no IBUS calls");
             }
         }
     }
 }
 
-/// Resumes every engine from a spread of recorded checkpoints and pins
-/// the outcome bit-identical to the full run: same schedule, same work
-/// counters, and a resumed event stream that is a strict suffix of the
-/// full stream (the prefix's events were already emitted by the
-/// recording run).
+/// Resumes from a spread of recorded checkpoints and pins the outcome
+/// bit-identical to the full run: same schedule, same work counters, and
+/// a resumed event stream that is a strict suffix of the full stream (the
+/// prefix's events were already emitted by the recording run). The full
+/// run itself is pinned to the `mia-baseline` oracle.
 fn assert_resume_conformance(
     problem: &Problem,
     arbiter: &(dyn Arbiter + Send + Sync),
     mode: InterferenceMode,
-    threads: &[usize],
     label: &str,
 ) {
     let options = AnalysisOptions::new().interference_mode(mode);
     let mut log = CheckpointLog::new();
-    let full = EngineKind::record(problem, arbiter, &options, &mut log)
+    let full = testkit::record(problem, arbiter, &options, &mut log)
         .unwrap_or_else(|e| panic!("{label}: recording run failed: {e}"));
+    assert_matches_baseline(problem, arbiter, mode, &full.schedule, label);
     assert!(!log.is_empty(), "{label}: nothing recorded");
     // A spread of re-entry points: the earliest, a mid-run one, the last.
     let picks = [0, log.len() / 2, log.len() - 1];
     for &idx in &picks {
         let ckpt = &log.checkpoints()[idx];
-        for kind in EngineKind::all(threads) {
-            let resumed = kind
-                .run_resumed(problem, arbiter, &options, ckpt, &full.schedule)
-                .unwrap_or_else(|e| panic!("{label}: {kind} resume @{} failed: {e}", ckpt.step()));
-            assert_eq!(
-                resumed.schedule,
-                full.schedule,
-                "{label}: {kind} resumed schedule diverged @{}",
-                ckpt.step()
-            );
-            assert_eq!(
-                resumed.stats,
-                full.stats,
-                "{label}: {kind} resumed work counters diverged @{}",
-                ckpt.step()
-            );
+        let step = ckpt.step();
+        let resumed = testkit::run_resumed(problem, arbiter, &options, ckpt, &full.schedule)
+            .unwrap_or_else(|e| panic!("{label}: resume @{step} failed: {e}"));
+        assert_eq!(
+            resumed.schedule, full.schedule,
+            "{label}: resumed schedule diverged @{step}"
+        );
+        assert_eq!(
+            resumed.stats, full.stats,
+            "{label}: resumed work counters diverged @{step}"
+        );
+        assert!(
+            full.events.ends_with(&resumed.events),
+            "{label}: resumed events are not a suffix @{step}"
+        );
+        if step > 0 {
             assert!(
-                full.events.ends_with(&resumed.events),
-                "{label}: {kind} resumed events are not a suffix @{}",
-                ckpt.step()
+                resumed.events.len() < full.events.len(),
+                "{label}: resume @{step} replayed the whole run"
             );
-            if ckpt.step() > 0 {
-                assert!(
-                    resumed.events.len() < full.events.len(),
-                    "{label}: {kind} resume @{} replayed the whole run",
-                    ckpt.step()
-                );
-            }
         }
     }
 }
 
-/// Delta-resume conformance: every engine, resumed from checkpoints
-/// recorded by the scanning engine, must replay the suffix bit-exactly —
+/// Delta-resume conformance: runs resumed from recorded checkpoints must
+/// replay the suffix bit-exactly, and agree with the baseline engine —
 /// for every registered arbiter and interference mode.
 #[test]
 fn resumed_runs_are_bit_identical_across_engines() {
@@ -268,7 +247,7 @@ fn resumed_runs_are_bit_identical_across_engines() {
             let seed = 9_000 + 31 * arb_idx as u64;
             let problem = workload(Family::FixedLayerSize(8), 56, seed);
             let label = format!("resume / {} / {mode:?} seed={seed}", arbiter.name());
-            assert_resume_conformance(&problem, arbiter.as_ref(), mode, &THREAD_COUNTS, &label);
+            assert_resume_conformance(&problem, arbiter.as_ref(), mode, &label);
         }
     }
 }
@@ -285,7 +264,7 @@ fn delta_reanalysis_matches_from_scratch_after_a_mapping_change() {
     let options = AnalysisOptions::new();
 
     let mut log = CheckpointLog::new();
-    let base = EngineKind::record(&problem, rr.as_ref(), &options, &mut log).unwrap();
+    let base = testkit::record(&problem, rr.as_ref(), &options, &mut log).unwrap();
 
     // A late local move: swap the last two tasks of the busiest core.
     let mapping = problem.mapping();
@@ -317,9 +296,7 @@ fn delta_reanalysis_matches_from_scratch_after_a_mapping_change() {
     .unwrap();
     assert!(resumed, "a last-position change must resume, not restart");
     assert!(!branch.is_empty());
-    let scratch = EngineKind::Sequential
-        .run(&late, rr.as_ref(), &options)
-        .unwrap();
+    let scratch = testkit::run(&late, rr.as_ref(), &options).unwrap();
     assert_eq!(delta.schedule, scratch.schedule);
     assert_eq!(delta.stats, scratch.stats);
 
@@ -347,9 +324,7 @@ fn delta_reanalysis_matches_from_scratch_after_a_mapping_change() {
         !fresh.is_empty(),
         "the fallback re-records for the next move"
     );
-    let scratch = EngineKind::Sequential
-        .run(&early, rr.as_ref(), &options)
-        .unwrap();
+    let scratch = testkit::run(&early, rr.as_ref(), &options).unwrap();
     assert_eq!(full.schedule, scratch.schedule);
     assert_eq!(full.stats, scratch.stats);
 }
@@ -367,76 +342,55 @@ fn cursor_strictly_advances_through_zero_length_chains() {
     let problem = w.into_problem(&platform).expect("valid workload");
     for arbiter in arbiters() {
         for mode in MODES {
-            for kind in EngineKind::all(&[2]) {
-                let options = AnalysisOptions::new().interference_mode(mode);
-                let run = kind
-                    .run(&problem, arbiter.as_ref(), &options)
-                    .unwrap_or_else(|e| panic!("{kind} failed: {e}"));
-                let cursors: Vec<Cycles> = run
-                    .events
-                    .iter()
-                    .filter_map(|e| match e {
-                        Event::Cursor(t) => Some(*t),
-                        _ => None,
-                    })
-                    .collect();
-                assert!(
-                    cursors.windows(2).all(|w| w[0] < w[1]),
-                    "{kind} cursor stalled: {cursors:?}"
-                );
-            }
+            let options = AnalysisOptions::new().interference_mode(mode);
+            let run = testkit::run(&problem, arbiter.as_ref(), &options)
+                .unwrap_or_else(|e| panic!("{} / {mode:?} failed: {e}", arbiter.name()));
+            let cursors: Vec<Cycles> = run
+                .events
+                .iter()
+                .filter_map(|e| match e {
+                    Event::Cursor(t) => Some(*t),
+                    _ => None,
+                })
+                .collect();
+            assert!(
+                cursors.windows(2).all(|w| w[0] < w[1]),
+                "{} / {mode:?} cursor stalled: {cursors:?}",
+                arbiter.name()
+            );
         }
     }
 }
 
-/// Degenerate pool sizes (0 = auto, 1 = sequential fallback, more
-/// workers than cores) must be indistinguishable too.
-#[test]
-fn degenerate_pool_sizes_conform() {
-    let problem = workload(Family::FixedLayerSize(4), 24, 3);
-    let rr = mia_arbiter::by_name("rr").unwrap();
-    assert_conformance(
-        &problem,
-        rr.as_ref(),
-        InterferenceMode::AggregateByCore,
-        &[0, 1, 64],
-        "degenerate pools",
-    );
-}
-
 /// The telemetry contract: flipping the process-global `mia-obs` gate
 /// must not change anything observable. Runtime timing lives off
-/// `AnalysisStats` (like `ParallelInfo`), so schedules, work counters
-/// and observer streams stay bit-identical with telemetry on and off,
-/// on every engine and in every interference mode.
+/// `AnalysisStats`, so schedules, work counters and observer streams
+/// stay bit-identical with telemetry on and off, in every interference
+/// mode.
 #[test]
 fn telemetry_gate_does_not_change_any_engine_output() {
     let problem = workload(Family::FixedLayerSize(16), 48, 4117);
     let rr = mia_arbiter::by_name("rr").unwrap();
     for mode in MODES {
         let options = AnalysisOptions::new().interference_mode(mode);
-        for kind in EngineKind::all(&[2, 16]) {
-            mia_obs::set_enabled(false);
-            let off = kind
-                .run(&problem, rr.as_ref(), &options)
-                .unwrap_or_else(|e| panic!("{kind} / {mode:?} off: {e}"));
-            mia_obs::set_enabled(true);
-            let on = kind
-                .run(&problem, rr.as_ref(), &options)
-                .unwrap_or_else(|e| panic!("{kind} / {mode:?} on: {e}"));
-            // Drop this round's spans and restore the default gate so
-            // the rest of the suite runs on the cheap disabled path.
-            mia_obs::set_enabled(false);
-            drop(mia_obs::take_spans());
-            assert_eq!(on.schedule, off.schedule, "{kind} / {mode:?}: schedule");
-            assert_eq!(on.stats, off.stats, "{kind} / {mode:?}: stats");
-            assert_eq!(on.events, off.events, "{kind} / {mode:?}: events");
-        }
+        mia_obs::set_enabled(false);
+        let off = testkit::run(&problem, rr.as_ref(), &options)
+            .unwrap_or_else(|e| panic!("{mode:?} off: {e}"));
+        mia_obs::set_enabled(true);
+        let on = testkit::run(&problem, rr.as_ref(), &options)
+            .unwrap_or_else(|e| panic!("{mode:?} on: {e}"));
+        // Drop this round's spans and restore the default gate so the
+        // rest of the suite runs on the cheap disabled path.
+        mia_obs::set_enabled(false);
+        drop(mia_obs::take_spans());
+        assert_eq!(on.schedule, off.schedule, "{mode:?}: schedule");
+        assert_eq!(on.stats, off.stats, "{mode:?}: stats");
+        assert_eq!(on.events, off.events, "{mode:?}: events");
     }
 }
 
-/// The empty problem: every engine agrees on the empty schedule and the
-/// empty-but-for-the-initial-cursor event stream.
+/// The empty problem: the analysis and the baseline agree on the empty
+/// schedule, with an event stream that holds only the initial cursor.
 #[test]
 fn empty_problem_conforms() {
     let g = mia_model::TaskGraph::new();
@@ -447,7 +401,6 @@ fn empty_problem_conforms() {
         &problem,
         rr.as_ref(),
         InterferenceMode::AggregateByCore,
-        &[2],
         "empty problem",
     );
     assert!(run.schedule.is_empty());
@@ -457,9 +410,9 @@ fn empty_problem_conforms() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
-    /// Randomized N-way differential check over the full scenario space:
-    /// arbiter, interference mode, pool size, DAG family, size and seed
-    /// are all drawn per case.
+    /// Randomized differential check against the baseline over the full
+    /// scenario space: arbiter, interference mode, DAG family, size and
+    /// seed are all drawn per case.
     #[test]
     fn engines_agree_on_random_systems(
         seed in 0u64..100_000,
@@ -467,7 +420,6 @@ proptest! {
         ls in prop::sample::select(vec![2usize, 4, 16, 64]),
         deep in prop::sample::select(vec![false, true]),
         mode_idx in 0usize..MODES.len(),
-        threads in prop::sample::select(THREAD_COUNTS.to_vec()),
         arb_idx in 0usize..7,
     ) {
         let family = if deep { Family::FixedLayerSize(ls) } else { Family::FixedLayers(ls) };
@@ -477,7 +429,6 @@ proptest! {
             &problem,
             arbiter.as_ref(),
             MODES[mode_idx],
-            &[threads],
             &format!("random {} n={total} seed={seed} under {}", family.label(), arbiter.name()),
         );
     }

@@ -18,9 +18,9 @@
 //! single relaxed [`AtomicBool`]: the disabled path of every
 //! instrumentation site is one load + one branch, so the analysis hot
 //! loops stay unperturbed when nobody is profiling. Telemetry is
-//! execution-side data in the sense of `mia_core`'s `ParallelInfo`: it
-//! lives OFF `AnalysisStats` and off every compared report, so
-//! conformance bit-identity holds with the gate on or off.
+//! execution-side data: it lives OFF `mia_core`'s `AnalysisStats` and
+//! off every compared report, so conformance bit-identity holds with the
+//! gate on or off.
 //!
 //! Instantiated [`Registry`] values (the serve daemon owns one per
 //! server) are *not* gated — a daemon's request histograms are part of

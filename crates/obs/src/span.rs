@@ -4,9 +4,9 @@
 //! [`SpanRecord`] on drop — but only when the global gate is on, so an
 //! un-profiled run pays one relaxed load + branch per site. Records go
 //! into a per-thread buffer (one uncontended mutex per thread, shared
-//! only with the drain) registered in a process-wide list; pool worker
-//! threads never have to cooperate in a flush, [`take_spans`] drains
-//! every live buffer. Timestamps are nanoseconds on a single monotonic
+//! only with the drain) registered in a process-wide list; worker
+//! threads (DSE chains, serve workers) never have to cooperate in a
+//! flush, [`take_spans`] drains every live buffer. Timestamps are nanoseconds on a single monotonic
 //! clock (the first use pins the epoch), thread ids are small integers
 //! assigned in first-use order — exactly what the Chrome trace-event
 //! exporter in `mia_trace` wants for `ts`/`tid`.
@@ -69,7 +69,7 @@ pub fn thread_id() -> u64 {
 type SharedBuffer = Arc<Mutex<Vec<SpanRecord>>>;
 
 /// All per-thread buffers, so the drain can reach threads that are
-/// still alive (pool workers park between phases and never exit).
+/// still alive (serve workers wait for requests and never exit).
 fn buffers() -> &'static Mutex<Vec<SharedBuffer>> {
     static BUFFERS: OnceLock<Mutex<Vec<SharedBuffer>>> = OnceLock::new();
     BUFFERS.get_or_init(|| Mutex::new(Vec::new()))
@@ -109,7 +109,7 @@ pub fn record_span(name: &str, start_ns: u64, dur_ns: u64) {
 }
 
 /// [`record_span`] for a phase that repeats once per analysis step (the
-/// cursor's close/open, account and advance, a pool handoff): recorded
+/// cursor's close/open, account and advance): recorded
 /// only while the buffer has more than [`STEP_SPAN_RESERVE`] records
 /// free, so a long run cannot crowd out its own run-level spans. Drops
 /// are counted in [`spans_dropped`] like any other.

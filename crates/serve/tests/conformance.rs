@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use mia_arbiter::RoundRobin;
 use mia_cli::CliEngine;
-use mia_core::testkit::EngineKind;
+use mia_core::testkit;
 use mia_core::AnalysisOptions;
 use mia_serve::testkit::{normalize_timings, ServeHandle};
 use mia_serve::Engine as _;
@@ -87,6 +87,37 @@ fn served_token_analyze_is_byte_identical_to_one_shot_cli() {
         .run("analyze", FIXTURE, &args)
         .expect("served analyze with flags");
     assert_eq!(served.output, one_shot);
+}
+
+/// An option the method does not take is a usage error over the wire,
+/// just as it is for the one-shot command, for token and resident
+/// targets alike.
+#[test]
+fn served_requests_with_an_unknown_option_get_an_error_reply() {
+    let handle = serve_cli();
+    let mut client = handle.client();
+    let bad = owned(&["--bogus-flag", "3"]);
+    let handle_id = client.load("rosace", &[]).expect("load resident");
+    for method in ["analyze", "simulate", "optimize"] {
+        let replies = [
+            client.run(method, "rosace", &bad),
+            client.run_resident(method, handle_id, &bad),
+        ];
+        for reply in replies {
+            match reply {
+                Err(mia_serve::ClientError::Server { kind, message }) => {
+                    assert_eq!(kind, mia_serve::kind::USAGE, "{method}: {message}");
+                    assert!(message.contains("--bogus-flag"), "{method}: {message}");
+                }
+                other => panic!("{method}: expected an error reply, got {other:?}"),
+            }
+        }
+    }
+    // The connection stays usable after the error replies.
+    let ok = client
+        .run("analyze", "rosace", &[])
+        .expect("served analyze");
+    assert!(ok.output.contains("makespan:"));
 }
 
 #[test]
@@ -185,9 +216,8 @@ fn served_makespan_agrees_with_the_sequential_oracle() {
             .load(token, &owned(&["--seed-strategy", "etf"]))
             .expect("load for oracle");
         let options = AnalysisOptions::new().task_deadlines(true);
-        let reference = EngineKind::Sequential
-            .run(&loaded.problem, &RoundRobin::new(), &options)
-            .expect("oracle run");
+        let reference =
+            testkit::run(&loaded.problem, &RoundRobin::new(), &options).expect("oracle run");
 
         let served = client.run("analyze", token, &[]).expect("served analyze");
         let makespan_line = served

@@ -34,16 +34,14 @@ def load_report(path):
 
 
 def series_of(report):
-    """{(family, arbiter, algorithm, threads): [(n, seconds)]}, completed
-    points only, sorted by n."""
+    """{(family, arbiter, algorithm): [(n, seconds)]}, completed points
+    only, sorted by n."""
     series = {}
     for point in report["points"]:
         outcome = point["outcome"]
         if "Completed" not in outcome:
             continue
-        # Reports from before the threads axis lack the per-point field.
-        threads = point.get("threads", 1)
-        key = (point["family"], point["arbiter"], point["algorithm"], threads)
+        key = (point["family"], point["arbiter"], point["algorithm"])
         series.setdefault(key, []).append((point["n"], outcome["Completed"]["seconds"]))
     for points in series.values():
         points.sort()
@@ -51,9 +49,7 @@ def series_of(report):
 
 
 def label_of(key):
-    family, arbiter, algorithm, threads = key
-    label = f"{family}/{arbiter}/{algorithm}"
-    return label if threads == 1 else f"{label}/t{threads}"
+    return "/".join(key)
 
 
 def render_ascii(series, width=72, height=20):
@@ -116,10 +112,9 @@ def write_gnuplot(series, out_dir):
 
 
 def write_csv(report, out):
-    out.write("family,arbiter,n,algorithm,threads,status,seconds,makespan,error\n")
+    out.write("family,arbiter,n,algorithm,status,seconds,makespan,error\n")
     for p in report["points"]:
         outcome = p["outcome"]
-        threads = p.get("threads", 1)
         if "Completed" in outcome:
             c = outcome["Completed"]
             row = ["completed", f"{c['seconds']:.6f}", str(c["makespan"]), ""]
@@ -130,7 +125,7 @@ def write_csv(report, out):
             row = ["failed", "", "", error]
         family = p["family"].replace(",", ";")
         out.write(
-            f"{family},{p['arbiter']},{p['n']},{p['algorithm']},{threads},"
+            f"{family},{p['arbiter']},{p['n']},{p['algorithm']},"
             + ",".join(row)
             + "\n"
         )

@@ -94,7 +94,7 @@ pub mod prelude {
         Fifo, FixedPriority, MppaTree, Regulated, RoundRobin, Tdm, WeightedRoundRobin,
     };
     pub use mia_baseline::analyze as analyze_baseline;
-    pub use mia_core::{analyze, analyze_event_driven, analyze_parallel, AnalysisOptions};
+    pub use mia_core::{analyze, AnalysisOptions};
     pub use mia_model::{
         Arbiter, BankDemand, BankId, BankPolicy, CoreId, Cycles, Mapping, ModelError, Platform,
         Problem, Schedule, ScheduleViolation, Task, TaskGraph, TaskId, TaskTiming,

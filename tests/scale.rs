@@ -46,10 +46,8 @@ fn alive_set_is_bounded_by_core_count_at_scale() {
     assert!(report.stats.cursor_steps <= 2 * problem.len() + 1);
 }
 
-/// Pins the 32k-task run end to end: the makespan is a fixed constant,
-/// the analysis stays under the 60 s CI budget, and the layer-parallel
-/// engine reproduces the sequential result bit for bit (schedule *and*
-/// work counters) at scale.
+/// Pins the 32k-task run end to end: the makespan is a fixed constant
+/// and the analysis stays under the 60 s CI budget.
 ///
 /// Release-only: debug builds skip it (`cargo test --release -- --ignored`
 /// or plain `cargo test --release` runs it; CI covers the same 32k size
@@ -77,17 +75,6 @@ fn thirty_two_thousand_task_makespan_is_pinned() {
     );
     assert_eq!(seq.schedule.makespan(), Cycles(2_894_642));
     assert_eq!(seq.schedule.len(), 32_000);
-
-    let par = mia::analysis::analyze_parallel_with(
-        &problem,
-        &RoundRobin::new(),
-        &AnalysisOptions::new(),
-        4,
-        &mut NoopObserver,
-    )
-    .unwrap();
-    assert_eq!(par.schedule, seq.schedule);
-    assert_eq!(par.stats, seq.stats);
 }
 
 /// The full 100k smoke point (ROADMAP "Push the scale axis to the full
@@ -125,13 +112,8 @@ fn one_hundred_thousand_task_makespan_is_pinned() {
 }
 
 /// The million-task pin (ROADMAP "Raise the scale axis to 1M"): the
-/// makespan is a fixed constant, the run stays inside a generous CI
-/// budget, and the persistent-pool parallel engine reproduces the
-/// sequential result bit for bit — both through the public entry point
-/// (auto-gated: real pool on multi-core hosts, sequential fallback
-/// elsewhere) and with the pool forced up via a pinned engagement
-/// threshold above the platform width (workers spawned and parked, every
-/// phase inline — the pool lifecycle at 10⁶ tasks with no handoff tax).
+/// makespan is a fixed constant and the run stays inside a generous CI
+/// budget.
 ///
 /// Release-only, like the 32k/100k pins; CI runs it in the dedicated
 /// `scale` job.
@@ -160,37 +142,6 @@ fn one_million_task_makespan_is_pinned() {
     assert_eq!(seq.schedule.len(), 1_000_000);
     assert!(seq.stats.max_alive <= 16);
     assert!(seq.stats.cursor_steps <= 2 * problem.len() + 1);
-
-    // Public entry point: pool on hosts with parallelism, fallback
-    // elsewhere — bit-identical either way.
-    let par = mia::analysis::analyze_parallel_with(
-        &problem,
-        &RoundRobin::new(),
-        &AnalysisOptions::new(),
-        16,
-        &mut NoopObserver,
-    )
-    .unwrap();
-    assert_eq!(par.schedule, seq.schedule);
-    assert_eq!(par.stats, seq.stats);
-
-    // Pool forced up regardless of host: the threshold sits above the
-    // 16-core platform width, so workers spawn, park and shut down while
-    // every phase runs inline — the persistent-pool lifecycle at 10⁶
-    // tasks without paying 10⁶ handoffs on single-CPU CI runners.
-    let pinned = mia::analysis::analyze_parallel_with(
-        &problem,
-        &RoundRobin::new(),
-        &AnalysisOptions::new().parallel_engage(17),
-        16,
-        &mut NoopObserver,
-    )
-    .unwrap();
-    assert_eq!(pinned.schedule, seq.schedule);
-    assert_eq!(pinned.stats, seq.stats);
-    let info = pinned.parallel.expect("pool spawned");
-    assert_eq!(info.workers, 16);
-    assert_eq!(info.engage_width, Some(17));
 }
 
 #[test]

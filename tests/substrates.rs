@@ -166,23 +166,3 @@ fn mapping_heuristics_feed_the_analysis() {
         assert!(run.first_violation(&s).is_none());
     }
 }
-
-/// The event-driven cursor is a drop-in replacement across the whole
-/// public pipeline (SDF front end included).
-#[test]
-fn event_driven_cursor_is_a_drop_in_replacement() {
-    let app = "
-actor src  wcet=50  accesses=8
-actor mid  wcet=120 accesses=16
-actor sink wcet=70  accesses=10
-channel src -> mid  produce=2 consume=1 words=4
-channel mid -> sink produce=1 consume=2 words=2
-";
-    let graph = mia::sdf::parse(app).unwrap();
-    let expansion = graph.expand(3).unwrap();
-    let mapping = mia::mapping_heuristics::load_balanced(&expansion.graph, 4).unwrap();
-    let p = Problem::new(expansion.graph, mapping, Platform::new(4, 4)).unwrap();
-    let scan = mia::analysis::analyze(&p, &RoundRobin::new()).unwrap();
-    let heap = mia::analysis::analyze_event_driven(&p, &RoundRobin::new()).unwrap();
-    assert_eq!(scan, heap);
-}
