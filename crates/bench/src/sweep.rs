@@ -2,9 +2,10 @@
 //!
 //! This is the machinery behind `mia sweep` and the `sweep` binary
 //! (`cargo run --release -p mia-bench --bin sweep`). A [`SweepSpec`]
-//! names the grid; [`run_sweep`] measures every point — grid points are
-//! **independent analyses**, so they run concurrently on a scoped thread
-//! pool (`jobs`) — and returns a single [`SweepReport`] that serializes
+//! names the grid; [`run_sweep`] measures every point — the points of one
+//! (family, size) group are **independent analyses** of one shared
+//! problem, so they run concurrently on a scoped thread pool (`jobs`) —
+//! and returns a single [`SweepReport`] that serializes
 //! to one JSON document ([`report_json`]). Reproducing the paper's
 //! Figure 3 sweep is one command:
 //!
@@ -147,7 +148,8 @@ pub struct SweepSpec {
     /// Per-point wall-clock budget; a point exceeding it is recorded as
     /// [`Outcome::TimedOut`] and the sweep continues.
     pub budget: Duration,
-    /// Concurrent grid points (0 = the machine's available parallelism).
+    /// Concurrent points of one (family, size) group (0 = the machine's
+    /// available parallelism).
     pub jobs: usize,
     /// Timed runs per point; the **fastest** is reported (the analyses
     /// are deterministic, so repeats only strip scheduler/timer noise
@@ -211,7 +213,8 @@ pub struct SweepReport {
     pub budget_seconds: f64,
     /// Timed runs per point (the fastest is reported).
     pub repeats: usize,
-    /// Total sweep wall-clock in seconds.
+    /// Wall-clock of the measuring phases in seconds (problem builds
+    /// are excluded).
     pub wall_seconds: f64,
     /// Every measured point.
     pub points: Vec<SweepPoint>,
@@ -263,80 +266,69 @@ pub fn parse_sweep_family_token(token: &str) -> Result<SweepFamily, String> {
         })
 }
 
-/// Runs every grid point of `spec`, farming points out to `spec.jobs`
-/// scoped threads, and assembles the report. `progress` is invoked from
-/// worker threads as each point completes (pass `&|_| {}` to ignore).
+/// Runs every grid point of `spec` and assembles the report. `progress`
+/// is invoked from worker threads as each point completes (pass
+/// `&|_| {}` to ignore).
 ///
-/// Unknown arbiter names yield [`Outcome::Failed`] points rather than
-/// aborting the sweep.
+/// Every family is deterministic per (family, size): generated families
+/// mix the seed from the family label and size only, and SDF families
+/// ignore the seed entirely. So the grid is walked one (family, size)
+/// group at a time: the group's problem is built once, its arbiter ×
+/// algorithm points run concurrently on `spec.jobs` scoped threads, and
+/// the problem is dropped before the next group is built. The sweep's
+/// memory is bounded by its largest problem, not by the whole grid.
+///
+/// Unknown arbiter names and families that fail to build yield
+/// [`Outcome::Failed`] points rather than aborting the sweep.
 pub fn run_sweep(spec: &SweepSpec, progress: &(dyn Fn(&SweepPoint) + Sync)) -> SweepReport {
-    struct PointSpec<'a> {
-        family: &'a SweepFamily,
-        family_idx: usize,
-        arbiter: String,
-        n: usize,
-        algorithm: Algorithm,
-    }
-    // Every family is deterministic per (family, size): generated
-    // families mix the seed from the family label and size only, and
-    // SDF families ignore the seed entirely. So each (often large)
-    // generation / expansion + mapping is built once per family × size
-    // and shared by every arbiter × algorithm point, instead
-    // of being redrawn outside the timed budget per point.
-    let mut problems: std::collections::HashMap<(usize, usize), Result<Problem, String>> =
-        std::collections::HashMap::new();
-    for (family_idx, family) in spec.families.iter().enumerate() {
-        for &n in &spec.sizes {
-            problems.insert((family_idx, n), family.problem(n, spec.seed));
-        }
-    }
-
-    let mut grid: Vec<PointSpec> = Vec::new();
-    for (family_idx, family) in spec.families.iter().enumerate() {
-        for arbiter in &spec.arbiters {
-            for &n in &spec.sizes {
-                for &algorithm in &spec.algorithms {
-                    grid.push(PointSpec {
-                        family,
-                        family_idx,
-                        arbiter: arbiter.clone(),
-                        n,
-                        algorithm,
-                    });
-                }
-            }
-        }
-    }
-
+    let (arbiters, sizes, algorithms) =
+        (spec.arbiters.len(), spec.sizes.len(), spec.algorithms.len());
     let jobs = if spec.jobs == 0 {
         std::thread::available_parallelism().map_or(1, |p| p.get())
     } else {
         spec.jobs
-    }
-    .min(grid.len().max(1));
+    };
 
-    let started = Instant::now();
-    let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<SweepPoint>>> = grid.iter().map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(point_spec) = grid.get(i) else { break };
-                let point = run_point(
-                    point_spec.family,
-                    problems.get(&(point_spec.family_idx, point_spec.n)),
-                    &point_spec.arbiter,
-                    point_spec.n,
-                    point_spec.algorithm,
-                    spec,
-                );
-                progress(&point);
-                *results[i].lock().expect("unshared result slot") = Some(point);
+    // Report slots in `family × arbiter × size × algorithm` order.
+    let results: Vec<Mutex<Option<SweepPoint>>> =
+        (0..spec.families.len() * arbiters * sizes * algorithms)
+            .map(|_| Mutex::new(None))
+            .collect();
+    let mut measuring = Duration::ZERO;
+    for (family_idx, family) in spec.families.iter().enumerate() {
+        for (size_idx, &n) in spec.sizes.iter().enumerate() {
+            let group: Vec<(usize, &str, Algorithm)> = (0..arbiters)
+                .flat_map(|arbiter_idx| {
+                    spec.algorithms
+                        .iter()
+                        .enumerate()
+                        .map(move |(algorithm_idx, &algorithm)| {
+                            let slot = ((family_idx * arbiters + arbiter_idx) * sizes + size_idx)
+                                * algorithms
+                                + algorithm_idx;
+                            (slot, spec.arbiters[arbiter_idx].as_str(), algorithm)
+                        })
+                })
+                .collect();
+            let problem = family.problem(n, spec.seed);
+            let started = Instant::now();
+            let next = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..jobs.min(group.len()) {
+                    scope.spawn(|| loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&(slot, arbiter, algorithm)) = group.get(i) else {
+                            break;
+                        };
+                        let point = run_point(family, &problem, arbiter, n, algorithm, spec);
+                        progress(&point);
+                        *results[slot].lock().expect("unshared result slot") = Some(point);
+                    });
+                }
             });
+            measuring += started.elapsed();
         }
-    });
+    }
 
     SweepReport {
         families: spec.families.iter().map(SweepFamily::label).collect(),
@@ -350,7 +342,7 @@ pub fn run_sweep(spec: &SweepSpec, progress: &(dyn Fn(&SweepPoint) + Sync)) -> S
         seed: spec.seed,
         budget_seconds: spec.budget.as_secs_f64(),
         repeats: spec.repeats.max(1),
-        wall_seconds: started.elapsed().as_secs_f64(),
+        wall_seconds: measuring.as_secs_f64(),
         points: results
             .into_iter()
             .map(|slot| slot.into_inner().expect("pool joined").expect("point ran"))
@@ -358,25 +350,17 @@ pub fn run_sweep(spec: &SweepSpec, progress: &(dyn Fn(&SweepPoint) + Sync)) -> S
     }
 }
 
-/// Measures one grid point. `prebuilt` carries the shared problem of an
-/// SDF family (built once per family × size); generated families build
-/// their seed-mixed problem here.
+/// Measures one grid point on its (family, size) group's problem, or
+/// records the group's build error as a failed point.
 fn run_point(
     family: &SweepFamily,
-    prebuilt: Option<&Result<Problem, String>>,
+    problem: &Result<Problem, String>,
     arbiter_name: &str,
     n: usize,
     algorithm: Algorithm,
     spec: &SweepSpec,
 ) -> SweepPoint {
-    let mut local = None;
-    let problem: Result<&Problem, String> = match prebuilt {
-        Some(Ok(problem)) => Ok(problem),
-        Some(Err(error)) => Err(error.clone()),
-        None => family
-            .problem(n, spec.seed)
-            .map(|problem| &*local.insert(problem)),
-    };
+    let problem = problem.as_ref().map_err(String::clone);
     let outcome = match (mia_arbiter::by_name_or_err(arbiter_name), problem) {
         (Err(error), _) | (_, Err(error)) => Outcome::Failed { error },
         (Ok(arbiter), Ok(problem)) => {
@@ -847,6 +831,62 @@ mod tests {
         let json = report_json(&report);
         assert!(json.contains("\"points\""));
         assert!(json.contains("LS4"));
+    }
+
+    /// Walking the grid one (family, size) group at a time keeps the
+    /// report in grid order, and a family that cannot be built fails
+    /// only its own points.
+    #[test]
+    fn grouped_walk_keeps_grid_order_and_isolates_build_failures() {
+        let missing = "/nonexistent/app.sdf3";
+        let spec = SweepSpec {
+            families: vec![
+                SweepFamily::Sdf(missing.to_owned()),
+                Family::FixedLayerSize(4).into(),
+            ],
+            arbiters: vec!["rr".to_owned(), "mppa".to_owned()],
+            sizes: vec![16, 32],
+            jobs: 2,
+            ..SweepSpec::default()
+        };
+        let report = run_sweep(&spec, &|_| {});
+        let order: Vec<(String, &str, usize)> = report
+            .points
+            .iter()
+            .map(|p| (p.family.clone(), p.arbiter.as_str(), p.n))
+            .collect();
+        let mut expected = Vec::new();
+        for family in ["sdf3:/nonexistent/app.sdf3", "LS4"] {
+            for arbiter in ["rr", "mppa"] {
+                for n in [16, 32] {
+                    expected.push((family.to_owned(), arbiter, n));
+                }
+            }
+        }
+        assert_eq!(order, expected);
+        for point in &report.points[..4] {
+            assert!(
+                matches!(&point.outcome, Outcome::Failed { error } if error.contains(missing)),
+                "{point:?}"
+            );
+        }
+        // The buildable family measures exactly as it does alone.
+        let makespan = |outcome: &Outcome| match outcome {
+            Outcome::Completed { makespan, .. } => Some(*makespan),
+            _ => None,
+        };
+        let alone = run_sweep(
+            &SweepSpec {
+                families: vec![Family::FixedLayerSize(4).into()],
+                ..spec.clone()
+            },
+            &|_| {},
+        );
+        for (point, solo) in report.points[4..].iter().zip(&alone.points) {
+            assert_eq!((&point.arbiter, point.n), (&solo.arbiter, solo.n));
+            assert!(makespan(&point.outcome).is_some(), "{point:?}");
+            assert_eq!(makespan(&point.outcome), makespan(&solo.outcome));
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! | `--algorithms …` | `incremental` and/or `baseline` | `incremental` |
 //! | `--seed N` | base PRNG seed (mixed per point) | `2020` |
 //! | `--budget SECS` | per-point wall-clock budget; a point over budget is recorded as a timeout | `120` |
-//! | `--jobs N` | concurrent grid points (`0` = all cores) | `0` |
+//! | `--jobs N` | concurrent points per (family, size) group (`0` = all cores) | `0` |
 //! | `--repeats N` | timed runs per point; the fastest is reported (best-of-N strips scheduler noise from deterministic analyses) | `1` |
 //! | `--csv` | emit a flat CSV table (one row per grid point) instead of JSON — ready for plotting trajectory curves | JSON |
 //! | `-o FILE` | write the report to `FILE` | stdout |

@@ -6,8 +6,8 @@
 //! optimization loop. This crate closes that loop: it searches over
 //! task-to-core mappings using the *analyzed* makespan — WCETs **plus**
 //! memory interference under a real arbiter — as the fitness function,
-//! instead of the interference-free proxy that `mia_mapping::anneal`
-//! minimises.
+//! instead of the interference-free proxy
+//! [`mia_mapping::assignment_makespan`].
 //!
 //! # The model
 //!

@@ -416,9 +416,8 @@ impl Objective for AnalyzedMakespan<'_> {
     }
 }
 
-/// The interference-free proxy (the cost `mia_mapping::anneal`
-/// historically minimised): list-schedule the assignment ignoring memory
-/// interference. Kept as the A/B baseline for measuring what the
+/// The interference-free proxy ([`mia_mapping::assignment_makespan`]):
+/// list-schedule the assignment ignoring memory interference. Kept as the A/B baseline for measuring what the
 /// analysis-backed objective buys, and as a fast objective for tests.
 /// It prices no schedule, so the secondary axes stay collapsed
 /// ([`ObjVec::scalar`]).

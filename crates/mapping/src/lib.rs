@@ -13,12 +13,10 @@
 //!   where it finishes earliest,
 //! * [`heft`] — communication-aware list scheduling (upward ranks, edge
 //!   words priced per cycle) that keeps chatty producer–consumer pairs on
-//!   one core,
-//! * [`anneal`] — simulated-annealing refinement of any of the above,
-//!   minimising the interference-free makespan proxy
-//!   ([`assignment_makespan`]); [`anneal_with`] is the same loop with a
-//!   pluggable objective (e.g. the full interference analysis, the way
-//!   `mia-dse` consumes it).
+//!   one core.
+//!
+//! [`assignment_makespan`] prices an assignment without interference;
+//! `mia-dse` uses it as its cheap proxy objective.
 //!
 //! All strategies return a [`Mapping`] whose per-core orders are
 //! consistent with the dependency graph (they assign in topological
@@ -47,10 +45,8 @@
 //! # }
 //! ```
 
-mod anneal;
 mod heft;
 
-pub use anneal::{anneal, anneal_with, assignment_makespan, AnnealConfig};
 pub use heft::heft;
 
 use mia_model::{Cycles, Mapping, ModelError, TaskGraph, TaskId};
@@ -168,6 +164,35 @@ pub fn earliest_finish(graph: &TaskGraph, cores: usize) -> Result<Mapping, Model
     Mapping::from_orders(graph, orders)
 }
 
+/// Interference-free makespan of an assignment: tasks start at the latest
+/// of their core's availability, their dependencies' finishes and their
+/// minimal release, in topological order. This is the standard cheap cost
+/// proxy for mapping search; `mia-dse` searches against the full
+/// interference analysis instead, the combination the paper's O(n²)
+/// algorithm makes affordable.
+///
+/// # Errors
+///
+/// Returns [`ModelError::Cycle`] for cyclic graphs.
+pub fn assignment_makespan(graph: &TaskGraph, assignment: &[usize]) -> Result<Cycles, ModelError> {
+    let order = graph.topological_order()?;
+    let cores = assignment.iter().copied().max().map_or(1, |m| m + 1);
+    let mut core_free = vec![Cycles::ZERO; cores];
+    let mut finish = vec![Cycles::ZERO; graph.len()];
+    let mut makespan = Cycles::ZERO;
+    for t in order {
+        let i = t.index();
+        let mut start = core_free[assignment[i]].max(graph.task(t).min_release());
+        for e in graph.predecessors(t) {
+            start = start.max(finish[e.src.index()]);
+        }
+        finish[i] = start + graph.task(t).wcet();
+        core_free[assignment[i]] = finish[i];
+        makespan = makespan.max(finish[i]);
+    }
+    Ok(makespan)
+}
+
 /// Ratio between the most and least loaded cores' total WCET (1.0 is
 /// perfectly balanced; unused cores count as zero load, yielding
 /// `f64::INFINITY`).
@@ -282,6 +307,17 @@ mod tests {
             earliest_finish(&g, 0),
             Err(ModelError::EmptyPlatform)
         ));
+    }
+
+    #[test]
+    fn assignment_makespan_of_chain() {
+        let mut g = TaskGraph::new();
+        let a = g.add_task(Task::builder("a").wcet(Cycles(10)));
+        let b = g.add_task(Task::builder("b").wcet(Cycles(20)));
+        g.add_edge(a, b, 1).unwrap();
+        // Chain serializes regardless of cores.
+        assert_eq!(assignment_makespan(&g, &[0, 1]).unwrap(), Cycles(30));
+        assert_eq!(assignment_makespan(&g, &[0, 0]).unwrap(), Cycles(30));
     }
 
     #[test]

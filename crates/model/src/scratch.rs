@@ -11,8 +11,7 @@
 //! * `mia-core` keeps one `DemandMerge` per alive slot (one per core) and
 //!   resets it each time the slot opens a new task,
 //! * `mia-baseline` keeps one per analysis run and resets it for every
-//!   interference evaluation,
-//! * the parallel analysis keeps one per worker thread.
+//!   interference evaluation.
 //!
 //! Resetting is O(1): a generation counter is bumped and stale entries are
 //! recognised by their stamp, so no buffer is ever cleared element by

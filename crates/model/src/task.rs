@@ -9,7 +9,7 @@ use crate::{BankDemand, Cycles};
 /// A task carries the inputs the paper's analysis needs:
 ///
 /// * its **WCET in isolation** (as produced by a static analyser such as
-///   OTAWA, or by this workspace's `mia-wcet` substitute),
+///   OTAWA; WCET estimation is outside this workspace),
 /// * its **minimal release date** (`min_rel` in the paper): the task must
 ///   not start before this instant even if all dependencies complete
 ///   earlier,

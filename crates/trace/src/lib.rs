@@ -9,7 +9,6 @@
 //!   [`CursorTrace::snapshot`] reproducing Figure 2's closed/alive/future
 //!   partition at any instant,
 //! * [`to_dot`] — Graphviz export of task graphs (Figure 1's DAG),
-//! * [`to_svg`] — SVG timing diagrams,
 //! * [`schedule_json`] / [`report_json`] — machine-readable results for
 //!   external plotting.
 //!
@@ -38,10 +37,8 @@
 //! ```
 
 mod chrome;
-mod svg;
 
 pub use chrome::{spans_to_chrome_trace, to_chrome_trace, to_chrome_trace_with_runtime};
-pub use svg::{to_svg, SvgOptions};
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

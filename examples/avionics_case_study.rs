@@ -4,73 +4,50 @@
 //!
 //! A longitudinal flight controller (ROSACE-like) is modelled as one
 //! hyper-period of a two-rate harmonic task set turned into a DAG. The
-//! per-task WCETs are derived with the `mia-wcet` structural analyser
-//! (the OTAWA substitute), and the schedule is analysed under several bus
-//! arbiters to compare their pessimism.
+//! per-task WCETs in isolation and shared-memory access counts are inputs,
+//! as in the paper (they would come from a static analyser such as
+//! OTAWA), and the schedule is analysed under several bus arbiters to
+//! compare their pessimism.
 //!
 //! Run with: `cargo run --example avionics_case_study`
 
 use mia::prelude::*;
 use mia::trace;
-use mia::wcet::{estimate, Program};
-
-/// Builds a control-filter kernel: an initialisation block followed by a
-/// bounded loop over `taps` filter taps with a conditional saturation.
-fn filter_kernel(taps: u64, saturating: bool) -> Program {
-    let body = if saturating {
-        Program::if_else(
-            Program::block(2, 0),
-            Program::block(9, 2),
-            Program::block(6, 1),
-        )
-    } else {
-        Program::block(8, 2)
-    };
-    Program::seq([Program::block(20, 4), Program::loop_of(taps, body)])
-}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One 10 ms hyper-period: the 200 Hz inner loop runs twice (phases A
     // and B), the 100 Hz outer loop once.
-    let kernels: Vec<(&str, Program, u64)> = vec![
-        // (name, body, minimal release within the hyper-period)
-        ("gyro_acq_a", filter_kernel(16, false), 0),
-        ("elevator_a", filter_kernel(24, true), 0),
-        ("engine_a", filter_kernel(24, true), 0),
-        ("gyro_acq_b", filter_kernel(16, false), 500),
-        ("elevator_b", filter_kernel(24, true), 500),
-        ("engine_b", filter_kernel(24, true), 500),
-        ("altitude_hold", filter_kernel(48, true), 0),
-        ("vz_control", filter_kernel(40, true), 0),
-        ("va_control", filter_kernel(40, true), 0),
-        ("flight_mgmt", filter_kernel(64, false), 0),
+    let kernels: [(&str, u64, u64, u64); 10] = [
+        // (name, WCET in isolation, shared-memory accesses, minimal
+        // release within the hyper-period)
+        ("gyro_acq_a", 148, 36, 0),
+        ("elevator_a", 284, 52, 0),
+        ("engine_a", 284, 52, 0),
+        ("gyro_acq_b", 148, 36, 500),
+        ("elevator_b", 284, 52, 500),
+        ("engine_b", 284, 52, 500),
+        ("altitude_hold", 548, 100, 0),
+        ("vz_control", 460, 84, 0),
+        ("va_control", 460, 84, 0),
+        ("flight_mgmt", 532, 132, 0),
     ];
 
     let mut g = TaskGraph::new();
     let ids: Vec<TaskId> = kernels
         .iter()
-        .map(|(name, program, rel)| {
-            let e = estimate(program);
-            let mut task = e.into_task(*name);
-            task.set_min_release(Cycles(*rel));
-            println!(
-                "{:<14} wcet = {:>4}  accesses = {:>3}",
-                name,
-                e.wcet.as_u64(),
-                e.accesses
-            );
-            g.add_task(task)
+        .map(|&(name, wcet, accesses, release)| {
+            println!("{name:<14} wcet = {wcet:>4}  accesses = {accesses:>3}");
+            g.add_task(
+                Task::builder(name)
+                    .wcet(Cycles(wcet))
+                    .private_demand(BankDemand::single(BankId(0), accesses))
+                    .min_release(Cycles(release)),
+            )
         })
         .collect();
 
     // Data flow within the hyper-period (words = control vector sizes).
-    let by_name = |n: &str| {
-        ids[kernels
-            .iter()
-            .position(|(k, _, _)| *k == n)
-            .unwrap()
-            .to_owned()]
-    };
+    let by_name = |n: &str| ids[kernels.iter().position(|k| k.0 == n).unwrap()];
     for (src, dst, words) in [
         ("gyro_acq_a", "elevator_a", 6),
         ("gyro_acq_a", "engine_a", 6),

@@ -4,7 +4,7 @@
 //!    format is compiled into a DAG of tasks (repetition vector + HSDF
 //!    expansion),
 //! 2. per-firing WCETs come from the dataflow description (in a real
-//!    flow, from `mia-wcet` / OTAWA),
+//!    flow, from a static WCET analyser such as OTAWA),
 //! 3. the DAG is mapped and ordered with ETF list scheduling,
 //! 4. release dates and WCRTs are computed by the incremental analysis,
 //! 5. the schedule is validated by cycle-accurate simulation.

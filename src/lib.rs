@@ -60,7 +60,6 @@
 //! | [`dag_gen`] | Tobita–Kasahara random DAGs and benchmark families |
 //! | [`sim`] | cycle-stepped validation simulator |
 //! | [`sdf`] | synchronous-dataflow front-end (graph → task DAG) |
-//! | [`wcet`] | WCET-in-isolation estimation on CFGs (OTAWA substitute) |
 //! | [`mapping_heuristics`] | mapping & ordering strategies |
 //! | [`mrta`] | sporadic-task multicore response-time analysis (ref. \[1\]) |
 //! | [`noc`] | inter-cluster 2D-torus NoC latency bounds (MPPA-256 chip level) |
@@ -81,7 +80,6 @@ pub use mia_noc as noc;
 pub use mia_sdf as sdf;
 pub use mia_sim as sim;
 pub use mia_trace as trace;
-pub use mia_wcet as wcet;
 
 /// Convenient glob-import of the most used types.
 ///

@@ -1,10 +1,9 @@
-//! Full-framework integration: dataflow program → WCET estimation →
-//! mapping → interference analysis → simulation (the pipeline of the
-//! paper's §I).
+//! Full-framework integration: dataflow program → mapping → interference
+//! analysis → simulation (the pipeline of the paper's §I, which takes
+//! WCETs in isolation as inputs).
 
 use mia::prelude::*;
 use mia::sim::{simulate, AccessPattern, SimConfig};
-use mia::wcet::{estimate, Program};
 use mia::{mapping_heuristics, sdf};
 
 const APP: &str = "
@@ -33,27 +32,19 @@ fn sdf_to_schedule_to_simulation() {
 
 #[test]
 fn wcet_estimates_feed_the_analysis() {
-    // Two synthetic kernels estimated structurally, then scheduled.
-    let dsp = Program::seq([
-        Program::block(30, 6),
-        Program::loop_of(32, Program::block(7, 1)),
-    ]);
-    let ctrl = Program::loop_of(
-        16,
-        Program::if_else(
-            Program::block(3, 0),
-            Program::block(11, 2),
-            Program::block(5, 1),
-        ),
-    );
-    let e_dsp = estimate(&dsp);
-    let e_ctrl = estimate(&ctrl);
-    assert_eq!(e_dsp.wcet, Cycles(30 + 32 * 7));
-    assert_eq!(e_ctrl.wcet, Cycles(16 * 14));
-
+    // Two kernels with WCETs in isolation from a static analyser: a DSP
+    // loop (30 + 32 × 7 cycles) and a branchy controller (16 × 14).
     let mut g = TaskGraph::new();
-    let a = g.add_task(e_dsp.into_task("dsp"));
-    let b = g.add_task(e_ctrl.into_task("ctrl"));
+    let a = g.add_task(
+        Task::builder("dsp")
+            .wcet(Cycles(254))
+            .private_demand(BankDemand::single(BankId(0), 38)),
+    );
+    let b = g.add_task(
+        Task::builder("ctrl")
+            .wcet(Cycles(224))
+            .private_demand(BankDemand::single(BankId(0), 32)),
+    );
     g.add_edge(a, b, 8).unwrap();
     let m = mapping_heuristics::load_balanced(&g, 2).unwrap();
     let p = Problem::new(g, m, Platform::new(2, 2)).unwrap();
@@ -75,11 +66,14 @@ fn mapping_strategies_change_interference_not_soundness() {
             mapping_heuristics::layered_cyclic(&graph, cores).unwrap(),
             mapping_heuristics::load_balanced(&graph, cores).unwrap(),
             mapping_heuristics::earliest_finish(&graph, cores).unwrap(),
+            mapping_heuristics::heft(&graph, cores, 1).unwrap(),
         ] {
             let p = Problem::new(graph.clone(), mapping, Platform::new(cores, cores)).unwrap();
             let s = mia::analysis::analyze(&p, &RoundRobin::new()).unwrap();
             s.check(&p).unwrap();
             assert!(s.makespan() >= p.graph().critical_path().unwrap());
+            let run = simulate(&p, &s, &SimConfig::new(AccessPattern::Uniform)).unwrap();
+            assert!(run.first_violation(&s).is_none());
         }
     }
 }

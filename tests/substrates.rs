@@ -1,56 +1,13 @@
 //! Integration of the surrounding substrates with the core analysis:
-//! cache-classified WCETs, NoC-gated releases, sporadic MRTA and the
-//! mapping heuristics, composed the way a full deployment would.
+//! NoC-gated releases and sporadic MRTA, composed the way a full
+//! deployment would.
 
 use mia::arbiters::{Fifo, Regulated, RoundRobin, Tdm};
-use mia::mapping_heuristics::{anneal, assignment_makespan, heft, AnnealConfig};
 use mia::mrta::{
     analyze as analyze_mrta, simulate_sporadic, SporadicSimConfig, SporadicSystem, SporadicTask,
 };
 use mia::noc::{simulate_flows, worst_case_latencies, Flow, FlowSet, NocConfig, Torus};
 use mia::prelude::*;
-use mia::sim::{simulate, AccessPattern, SimConfig};
-use mia::wcet::cache::{classify, CacheConfig, ReferenceCfg};
-use mia::wcet::Cfg;
-
-/// Cache classification → CFG estimate → task → analysis → simulation:
-/// the estimates stay sound through the whole chain.
-#[test]
-fn cache_classified_wcets_survive_the_pipeline() {
-    // A kernel whose loop body is fully cached after the first pass.
-    let mut refs = ReferenceCfg::new();
-    let pre = refs.add_block(vec![0, 1, 2, 3]);
-    let body = refs.add_block(vec![0, 1, 2, 3]);
-    refs.add_edge(pre, body).unwrap();
-    refs.add_edge(body, body).unwrap();
-    let classes = classify(&refs, &CacheConfig::new(8, 2)).unwrap();
-    assert_eq!(classes.misses(body), 0);
-
-    let (pre_cy, pre_acc) = classes.block_weight(pre, 1, 10);
-    let (body_cy, body_acc) = classes.block_weight(body, 1, 10);
-    let mut loop_body = Cfg::new();
-    loop_body.add_block(body_cy + 2, body_acc + 1);
-    let mut cfg = Cfg::new();
-    let a = cfg.add_block(pre_cy, pre_acc);
-    let b = cfg.add_loop(loop_body, 16);
-    cfg.add_edge(a, b).unwrap();
-    let est = cfg.estimate().unwrap();
-
-    let mut g = TaskGraph::new();
-    for name in ["k0", "k1"] {
-        g.add_task(
-            Task::builder(name)
-                .wcet(est.wcet)
-                .private_demand(BankDemand::single(BankId(0), est.accesses)),
-        );
-    }
-    let m = Mapping::from_assignment(&g, &[0, 1]).unwrap();
-    let p = Problem::with_policy(g, m, Platform::new(2, 2), BankPolicy::SingleBank).unwrap();
-    let s = mia::analysis::analyze(&p, &RoundRobin::new()).unwrap();
-    s.check(&p).unwrap();
-    let run = simulate(&p, &s, &SimConfig::new(AccessPattern::BurstStart)).unwrap();
-    assert!(run.first_violation(&s).is_none());
-}
 
 /// NoC-gated releases compose: the consumer entry task is never analysed
 /// to start before the worst-case frame arrival, and the flow simulator
@@ -118,51 +75,5 @@ fn mrta_bounds_order_by_arbiter_pessimism() {
     let sim = simulate_sporadic(&system, &SporadicSimConfig::new());
     for i in 0..system.len() {
         assert!(sim.max_response(i).unwrap() <= rr.response(i));
-    }
-}
-
-/// HEFT and annealing both feed valid problems whose analysed schedules
-/// hold up in simulation; annealing never worsens its own cost proxy.
-#[test]
-fn mapping_heuristics_feed_the_analysis() {
-    use mia::dag_gen::{Family, LayeredDag};
-    let mut cfg = Family::FixedLayerSize(8).config(48, 77);
-    cfg.accesses = 40..=80; // keep demands within WCETs for the simulator
-    cfg.edge_words = 0..=8;
-    let w = LayeredDag::new(cfg).generate();
-
-    let heft_mapping = heft(&w.graph, 8, 1).unwrap();
-    let annealed = anneal(
-        &w.graph,
-        8,
-        &heft_mapping,
-        &AnnealConfig {
-            iterations: 400,
-            ..AnnealConfig::default()
-        },
-    )
-    .unwrap();
-
-    let heft_asg: Vec<usize> = w
-        .graph
-        .task_ids()
-        .map(|t| heft_mapping.core_of(t).index())
-        .collect();
-    let ann_asg: Vec<usize> = w
-        .graph
-        .task_ids()
-        .map(|t| annealed.core_of(t).index())
-        .collect();
-    assert!(
-        assignment_makespan(&w.graph, &ann_asg).unwrap()
-            <= assignment_makespan(&w.graph, &heft_asg).unwrap()
-    );
-
-    for mapping in [heft_mapping, annealed] {
-        let p = Problem::new(w.graph.clone(), mapping, Platform::new(16, 16)).unwrap();
-        let s = mia::analysis::analyze(&p, &RoundRobin::new()).unwrap();
-        s.check(&p).unwrap();
-        let run = simulate(&p, &s, &SimConfig::new(AccessPattern::Uniform)).unwrap();
-        assert!(run.first_violation(&s).is_none());
     }
 }
