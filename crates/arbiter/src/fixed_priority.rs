@@ -1,6 +1,6 @@
 //! Fixed-priority bus arbitration.
 
-use mia_model::arbiter::{Arbiter, InterfererDemand};
+use mia_model::arbiter::{Arbiter, GroupTerm, InterfererDemand, InterfererGroups};
 use mia_model::{CoreId, Cycles};
 
 /// Fixed-priority arbitration: each core has a static priority (lower
@@ -84,6 +84,24 @@ impl Arbiter for FixedPriority {
 
     fn is_additive(&self) -> bool {
         false
+    }
+
+    /// Two groups: the higher-priority cores (full term) and the
+    /// lower-priority ones (capped term).
+    fn interferer_groups(&self, victim: CoreId, cores: usize) -> Option<InterfererGroups> {
+        let vp = self.priority(victim);
+        let others = || {
+            (0..cores)
+                .map(CoreId::from_index)
+                .filter(move |&c| c != victim)
+        };
+        let mut groups = InterfererGroups::new(cores);
+        groups.push(GroupTerm::Full, others().filter(|&c| self.priority(c) < vp));
+        groups.push(
+            GroupTerm::Capped,
+            others().filter(|&c| self.priority(c) > vp),
+        );
+        Some(groups)
     }
 }
 

@@ -1,6 +1,6 @@
 //! The Kalray MPPA-256 compute-cluster bus model.
 
-use mia_model::arbiter::{Arbiter, InterfererDemand};
+use mia_model::arbiter::{Arbiter, InterfererDemand, InterfererGroups};
 use mia_model::{CoreId, Cycles};
 
 use crate::tree::{ArbitrationNode, ArbitrationTree};
@@ -122,6 +122,10 @@ impl Arbiter for MppaTree {
 
     fn is_additive(&self) -> bool {
         false
+    }
+
+    fn interferer_groups(&self, victim: CoreId, cores: usize) -> Option<InterfererGroups> {
+        self.tree.interferer_groups(victim, cores)
     }
 }
 

@@ -6,7 +6,7 @@
 //! round-robin or fixed-priority stages; [`MppaTree`](crate::MppaTree) is
 //! the Kalray-shaped preset built on top of it.
 
-use mia_model::arbiter::{Arbiter, InterfererDemand};
+use mia_model::arbiter::{Arbiter, GroupTerm, InterfererDemand, InterfererGroups};
 use mia_model::{CoreId, Cycles};
 
 /// One node of an arbitration hierarchy.
@@ -45,6 +45,14 @@ pub enum ArbitrationNode {
 /// subtraction and membership a range test), and the delay walks only the
 /// victim's root-to-leaf path. Trees of up to 64 leaves use no heap memory
 /// per call. The core table is sized by the largest core id in the tree.
+///
+/// `mia-core` calls `bank_interference` only in its pairwise mode. In its
+/// default per-core aggregation it asks once per victim and run for
+/// [`interferer_groups`](Arbiter::interferer_groups): one walk down the
+/// victim's path turns each term of the sum above into a group (a sibling
+/// subtree of a round-robin stage, the higher or the lower siblings of a
+/// fixed-priority stage, a core outside the tree), O(cores + leaves +
+/// depth × fanout). Each bank update then changes one group's term, O(1).
 ///
 /// # Example
 ///
@@ -137,6 +145,10 @@ impl Arbiter for ArbitrationTree {
 
     fn is_additive(&self) -> bool {
         false
+    }
+
+    fn interferer_groups(&self, victim: CoreId, cores: usize) -> Option<InterfererGroups> {
+        Some(self.flat.interferer_groups(victim, cores))
     }
 }
 
@@ -293,6 +305,56 @@ impl FlatTree {
                 }
             };
         }
+    }
+
+    /// The groups of [`delay_slots`](Self::delay_slots)' sum for
+    /// `victim`, one walk down its root-to-leaf path: each sibling
+    /// subtree of a round-robin stage is a capped group, the higher and
+    /// the lower siblings of a fixed-priority stage are a full and a
+    /// capped group, and each core outside the tree is a capped group of
+    /// its own. A victim outside the tree sees the whole tree as one
+    /// capped group.
+    fn interferer_groups(&self, victim: CoreId, cores: usize) -> InterfererGroups {
+        let mut groups = InterfererGroups::new(cores);
+        let mut core_at = vec![CoreId(0); self.leaves()];
+        for (core, &pos) in self.leaf_of.iter().enumerate() {
+            if pos != NOT_IN_TREE {
+                core_at[pos as usize] = CoreId::from_index(core);
+            }
+        }
+        let leaves = |(lo, hi): (u32, u32)| core_at[lo as usize..hi as usize].iter().copied();
+        match self.leaf(victim) {
+            None => groups.push(GroupTerm::Capped, leaves(self.span[0])),
+            Some(pos) => {
+                let mut node = 0usize;
+                loop {
+                    match self.kind[node] {
+                        Kind::Leaf => break,
+                        Kind::RoundRobin => {
+                            let kids = self.kids(node);
+                            let inner = self.child_holding(kids, pos);
+                            for &c in kids.iter().filter(|&&c| c != inner) {
+                                groups.push(GroupTerm::Capped, leaves(self.span[c as usize]));
+                            }
+                            node = inner as usize;
+                        }
+                        Kind::FixedPriority => {
+                            let (lo, hi) = self.span[node];
+                            node = self.child_holding(self.kids(node), pos) as usize;
+                            let (inner_lo, inner_hi) = self.span[node];
+                            groups.push(GroupTerm::Full, leaves((lo, inner_lo)));
+                            groups.push(GroupTerm::Capped, leaves((inner_hi, hi)));
+                        }
+                    }
+                }
+            }
+        }
+        for core in (0..cores).map(CoreId::from_index) {
+            if core != victim && self.leaf(core).is_none() {
+                groups.push(GroupTerm::Capped, [core]);
+            }
+        }
+        groups
     }
 
     fn kids(&self, node: usize) -> &[u32] {

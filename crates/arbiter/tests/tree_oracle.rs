@@ -12,7 +12,8 @@
 use mia_arbiter::{Arbiter, ArbitrationNode, ArbitrationTree, InterfererDemand};
 use mia_model::{CoreId, Cycles};
 use proptest::prelude::*;
-use proptest::test_runner::TestRng;
+
+mod common;
 
 /// Total demand of the subtree.
 fn demand_of(node: &ArbitrationNode, lookup: &dyn Fn(CoreId) -> u64) -> u64 {
@@ -102,66 +103,15 @@ fn reference(
     access_cycles * slots
 }
 
-/// Grows a random subtree whose leaves are numbered `next..`, stopping
-/// once `max_leaves` leaves exist. Interior nodes get `min_fanout..=6`
-/// children; with `min_fanout` 0, leaves also appear above the bottom
-/// level and empty or single-child stages occur.
-fn grow(
-    rng: &mut TestRng,
-    depth: u32,
-    next: &mut u32,
-    max_leaves: u32,
-    min_fanout: u64,
-) -> ArbitrationNode {
-    if depth == 0 || (min_fanout == 0 && rng.below(4) == 0) {
-        *next += 1;
-        return ArbitrationNode::Leaf(CoreId(*next - 1));
-    }
-    let fanout = min_fanout + rng.below(7 - min_fanout);
-    let mut children = Vec::new();
-    for _ in 0..fanout {
-        if *next >= max_leaves {
-            break;
-        }
-        children.push(grow(rng, depth - 1, next, max_leaves, min_fanout));
-    }
-    if rng.below(2) == 0 {
-        ArbitrationNode::RoundRobin(children)
-    } else {
-        ArbitrationNode::FixedPriority(children)
-    }
-}
-
-/// Renames leaf `i` to `cores[i]`.
-fn relabel(node: ArbitrationNode, cores: &[u32]) -> ArbitrationNode {
-    match node {
-        ArbitrationNode::Leaf(c) => ArbitrationNode::Leaf(CoreId(cores[c.index()])),
-        ArbitrationNode::RoundRobin(children) => {
-            ArbitrationNode::RoundRobin(children.into_iter().map(|c| relabel(c, cores)).collect())
-        }
-        ArbitrationNode::FixedPriority(children) => ArbitrationNode::FixedPriority(
-            children.into_iter().map(|c| relabel(c, cores)).collect(),
-        ),
-    }
-}
-
 type Case = (ArbitrationNode, CoreId, u64, Vec<InterfererDemand>);
 
-/// A case: a tree of at most `max_leaves` leaves (depth ≤ 3, see [`grow`])
-/// over a random subset of cores `0..2×leaves`, a victim and its demand,
-/// and distinct interferers other than the victim, all drawn from
-/// `0..2×leaves`.
+/// A case: a tree of at most `max_leaves` leaves (see
+/// [`common::random_tree`]) over a random subset of cores `0..2×leaves`,
+/// a victim and its demand, and distinct interferers other than the
+/// victim, all drawn from `0..2×leaves`.
 fn case(max_leaves: u32, min_fanout: u64) -> BoxedStrategy<Case> {
     BoxedStrategy::from_fn(move |rng| {
-        let mut leaves = 0;
-        let shape = grow(rng, 3, &mut leaves, max_leaves, min_fanout);
-        let span = (2 * leaves).max(1);
-        // Fisher–Yates: the first `leaves` entries are the tree's cores.
-        let mut cores: Vec<u32> = (0..span).collect();
-        for i in (1..cores.len()).rev() {
-            cores.swap(i, rng.below(i as u64 + 1) as usize);
-        }
-        let root = relabel(shape, &cores);
+        let (root, span) = common::random_tree(rng, max_leaves, min_fanout);
         let victim = rng.below(u64::from(span)) as u32;
         let demand = rng.below(600);
         let mut interferers = Vec::new();

@@ -114,6 +114,7 @@ pub fn run_dse(spec: &DseSpec, progress: &dyn Fn(&OptimizeRun)) -> Result<Optimi
         best_chain: result.best_chain,
         seconds,
         mapping: None,
+        orders: None,
         front_size: result.front.len(),
         hypervolume: result.hypervolume,
         front: result.front.iter().map(FrontRow::from_point).collect(),

@@ -62,7 +62,8 @@ pub struct EdgeSpec {
     pub words: u64,
 }
 
-/// A complete workload file: platform + tasks + edges + mapping.
+/// A complete workload file: platform + tasks + edges + mapping, plus
+/// optional per-core execution orders.
 ///
 /// # Example
 ///
@@ -93,8 +94,12 @@ pub struct WorkloadFile {
     /// The dependency edges.
     #[serde(default)]
     pub edges: Vec<EdgeSpec>,
-    /// Core id per task (execution order on a core follows task order).
+    /// Core id per task.
     pub mapping: Vec<u32>,
+    /// Task ids in execution order, per core, agreeing with `mapping`.
+    /// When absent, the tasks of a core run in task order.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub orders: Option<Vec<Vec<u32>>>,
 }
 
 fn default_policy() -> String {
@@ -122,7 +127,8 @@ impl WorkloadFile {
     /// # Errors
     ///
     /// Any [`ModelError`] raised during construction (unknown tasks,
-    /// duplicate edges, cycles, mapping/platform mismatches, …), plus
+    /// duplicate edges, cycles, mapping/platform mismatches, orders that
+    /// disagree with the mapping, …), plus
     /// [`ModelError::EmptyPlatform`] for an unknown bank policy string.
     pub fn into_problem(self) -> Result<Problem, ModelError> {
         let policy = self.parsed_policy()?;
@@ -143,7 +149,29 @@ impl WorkloadFile {
         for e in &self.edges {
             graph.add_edge(TaskId(e.src), TaskId(e.dst), e.words)?;
         }
-        let mapping = Mapping::from_assignment(&graph, &self.mapping)?;
+        let mapping = match self.orders {
+            None => Mapping::from_assignment(&graph, &self.mapping)?,
+            Some(orders) => {
+                let orders = orders
+                    .into_iter()
+                    .map(|order| order.into_iter().map(TaskId).collect())
+                    .collect();
+                let mapping = Mapping::from_orders(&graph, orders)?;
+                if self.mapping.len() != graph.len() {
+                    return Err(ModelError::LengthMismatch {
+                        expected: graph.len(),
+                        found: self.mapping.len(),
+                    });
+                }
+                if let Some(task) = graph
+                    .task_ids()
+                    .find(|&t| mapping.core_of(t).0 != self.mapping[t.index()])
+                {
+                    return Err(ModelError::OrderMismatch(task));
+                }
+                mapping
+            }
+        };
         let platform = Platform::try_new(
             self.platform.cores,
             self.platform.banks,
@@ -186,6 +214,7 @@ impl WorkloadFile {
                 .task_ids()
                 .map(|t| workload.mapping.core_of(t).0)
                 .collect(),
+            orders: None,
         }
     }
 }
@@ -193,6 +222,7 @@ impl WorkloadFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mia_model::CoreId;
 
     fn figure1_json() -> String {
         r#"{
@@ -273,6 +303,43 @@ mod tests {
         assert!(matches!(
             file.into_problem(),
             Err(ModelError::UnknownTask(_))
+        ));
+    }
+
+    #[test]
+    fn orders_set_the_execution_order() {
+        let text = r#"{ "tasks": [ { "name": "a", "wcet": 5 }, { "name": "b", "wcet": 7 } ],
+                        "mapping": [0, 0], "orders": [[1, 0]] }"#;
+        let file: WorkloadFile = serde_json::from_str(text).unwrap();
+        let json = serde_json::to_string(&file).unwrap();
+        assert!(json.contains(r#""orders":[[1,0]]"#), "{json}");
+        let problem = file.into_problem().unwrap();
+        assert_eq!(problem.mapping().order(CoreId(0)), &[TaskId(1), TaskId(0)]);
+        // Without orders, a core runs its tasks in task order and the
+        // field is not written.
+        let text = r#"{ "tasks": [ { "name": "a", "wcet": 5 }, { "name": "b", "wcet": 7 } ],
+                        "mapping": [0, 0] }"#;
+        let file: WorkloadFile = serde_json::from_str(text).unwrap();
+        assert!(!serde_json::to_string(&file).unwrap().contains("orders"));
+        let problem = file.into_problem().unwrap();
+        assert_eq!(problem.mapping().order(CoreId(0)), &[TaskId(0), TaskId(1)]);
+    }
+
+    #[test]
+    fn orders_must_agree_with_the_mapping() {
+        let text = r#"{ "tasks": [ { "name": "a", "wcet": 5 }, { "name": "b", "wcet": 7 } ],
+                        "mapping": [0, 1], "orders": [[0, 1]] }"#;
+        let file: WorkloadFile = serde_json::from_str(text).unwrap();
+        assert_eq!(
+            file.into_problem().err(),
+            Some(ModelError::OrderMismatch(TaskId(1)))
+        );
+        let text = r#"{ "tasks": [ { "name": "a", "wcet": 5 }, { "name": "b", "wcet": 7 } ],
+                        "mapping": [0, 0], "orders": [[0]] }"#;
+        let file: WorkloadFile = serde_json::from_str(text).unwrap();
+        assert!(matches!(
+            file.into_problem(),
+            Err(ModelError::IncompleteMapping { .. })
         ));
     }
 

@@ -37,6 +37,7 @@ fn small_file() -> WorkloadFile {
             words: 2,
         }],
         mapping: vec![0, 1],
+        orders: None,
     }
 }
 

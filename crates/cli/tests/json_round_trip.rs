@@ -63,6 +63,7 @@ fn file() -> impl Strategy<Value = WorkloadFile> {
                     .map(|(src, dst, words)| EdgeSpec { src, dst, words })
                     .collect(),
                 mapping,
+                orders: None,
             },
         )
 }

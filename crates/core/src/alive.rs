@@ -30,17 +30,29 @@
 //! [`Accounting`] resolves once per run how a source's demand on a bank
 //! becomes interference (see [`InterferenceMode`]):
 //!
-//! * non-additive arbiter (`mppa`, `fp`): the source is merged into the
-//!   per-core "single big task" and `IBUS` is re-evaluated on the whole
-//!   merged set of the bank, O(cores) per update;
-//! * additive arbiter ([`Arbiter::is_additive`]): the bank's bound is a
-//!   sum of one term per interfering core, so only the source core's term
-//!   changes — `old − IBUS({c: prev}) + IBUS({c: prev + d})`, O(1) per
-//!   update and exact in integer arithmetic;
+//! * additive arbiter ([`Arbiter::is_additive`]; `rr`, `tdm`, `fifo`,
+//!   `wrr`, `regulated`): the bank's bound is a sum of one term per
+//!   interfering core, so only the source core's term changes —
+//!   `old − IBUS({c: prev}) + IBUS({c: prev + d})`, O(1) per update and
+//!   exact in integer arithmetic;
+//! * grouped arbiter ([`Arbiter::interferer_groups`]; `mppa`, `fp`, any
+//!   arbitration tree): for a fixed victim the bound is a sum of one term
+//!   per group of cores, each a function of the group's summed demand
+//!   `S_g`. Only the source's group term changes, so the bound moves by
+//!   `access × (term(S_g + d) − term(S_g))`, O(1) per update and exact.
+//!   The groups are resolved once per run, one table per slot, and a
+//!   slot keeps a generation-stamped `S_g` per bank and group;
+//! * any other arbiter: the source is merged into the per-core "single
+//!   big task" and `IBUS` is re-evaluated on the whole merged set of the
+//!   bank, O(cores) per update;
 //! * [`InterferenceMode::PairwiseAdditive`]: each source task adds its own
 //!   term, without merging.
+//!
+//! In every rule the source is still merged into the slot's
+//! [`DemandMerge`]: checkpoints export it, and [`AliveSlot::restore`]
+//! rebuilds the group sums from it.
 
-use mia_model::arbiter::{additive_update, Arbiter, InterfererDemand};
+use mia_model::arbiter::{additive_update, Arbiter, GroupTerm, InterfererDemand};
 use mia_model::scratch::DemandMerge;
 use mia_model::{BankId, CoreId, Cycles, Problem, TaskId};
 
@@ -67,17 +79,26 @@ pub(crate) struct AliveSlot {
     /// Aggregated interferer demand per bank and core
     /// (`τ.interfers_with[b]`, merged per core following §II.C).
     merge: DemandMerge,
+    /// Under [`Rule::Grouped`], the summed demand `S_g` of each of the
+    /// victim's groups, indexed `bank * groups + group`, and its
+    /// generation stamp; empty under the other rules.
+    group_sum: Vec<u64>,
+    group_stamp: Vec<u32>,
 }
 
 /// How a run turns one source's bank demand into interference: the
-/// [`InterferenceMode`] combined with [`Arbiter::is_additive`], resolved
-/// once per run so the per-bank hot path makes no virtual call to decide.
-/// See the [module documentation](self).
-#[derive(Debug, Clone, Copy)]
+/// [`InterferenceMode`] combined with [`Arbiter::is_additive`] and
+/// [`Arbiter::interferer_groups`], resolved once per run so the per-bank
+/// hot path makes no virtual call to decide. See the
+/// [module documentation](self).
+#[derive(Debug, Clone)]
 pub(crate) struct Accounting {
     rule: Rule,
     /// The platform's cycles per access (`IBUS`'s `access_cycles`).
     access: Cycles,
+    /// Under [`Rule::Grouped`], the group table of each victim core;
+    /// empty under the other rules.
+    groups: Vec<VictimGroups>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -86,8 +107,39 @@ enum Rule {
     Merged,
     /// Merge per core, swap the source core's additive term.
     MergedAdditive,
+    /// Merge per core, swap the term of the source core's group.
+    Grouped,
     /// One additive term per source task, no merging.
     Pairwise,
+}
+
+/// One victim core's [`InterfererGroups`](mia_model::arbiter::InterfererGroups)
+/// compiled for the hot path.
+#[derive(Debug, Clone)]
+struct VictimGroups {
+    /// Per source core: its group and the group's term, or `None` for a
+    /// core in no group.
+    member: Vec<Option<(u32, GroupTerm)>>,
+    /// Number of groups (running sums per bank).
+    len: usize,
+}
+
+impl VictimGroups {
+    /// Compiles `victim`'s groups, or `None` when the arbiter declares
+    /// none.
+    fn new<A: Arbiter + ?Sized>(arbiter: &A, victim: CoreId, cores: usize) -> Option<Self> {
+        let groups = arbiter.interferer_groups(victim, cores)?;
+        let member = (0..cores)
+            .map(|core| {
+                let g = groups.group_of(CoreId::from_index(core))?;
+                Some((g as u32, groups.term(g)))
+            })
+            .collect();
+        Some(VictimGroups {
+            member,
+            len: groups.len(),
+        })
+    }
 }
 
 impl Accounting {
@@ -97,22 +149,42 @@ impl Accounting {
         arbiter: &A,
         mode: InterferenceMode,
     ) -> Self {
+        let cores = problem.mapping().cores();
+        let mut groups = Vec::new();
         let rule = match mode {
             InterferenceMode::AggregateByCore if arbiter.is_additive() => Rule::MergedAdditive,
-            InterferenceMode::AggregateByCore => Rule::Merged,
+            InterferenceMode::AggregateByCore => {
+                let tables = (0..cores)
+                    .map(|v| VictimGroups::new(arbiter, CoreId::from_index(v), cores))
+                    .collect::<Option<Vec<_>>>();
+                match tables {
+                    Some(tables) => {
+                        groups = tables;
+                        Rule::Grouped
+                    }
+                    None => Rule::Merged,
+                }
+            }
             InterferenceMode::PairwiseAdditive => Rule::Pairwise,
         };
         Accounting {
             rule,
             access: problem.platform().access_cycles(),
+            groups,
         }
+    }
+
+    /// Running group sums a slot of `core` keeps per bank.
+    fn group_count(&self, core: CoreId) -> usize {
+        self.groups.get(core.index()).map_or(0, |g| g.len)
     }
 }
 
 impl AliveSlot {
-    /// Creates an empty slot for `core` on a `banks × cores` platform.
-    /// All buffers are sized here, once.
-    pub(crate) fn new(core: CoreId, banks: usize, cores: usize) -> Self {
+    /// Creates an empty slot for `core` on a `banks × cores` platform,
+    /// keeping `groups` running group sums per bank. All buffers are sized
+    /// here, once.
+    fn new(core: CoreId, banks: usize, cores: usize, groups: usize) -> Self {
         AliveSlot {
             core,
             busy: false,
@@ -123,15 +195,18 @@ impl AliveSlot {
             bank_inter: vec![Cycles::ZERO; banks],
             bank_stamp: vec![0; banks],
             merge: DemandMerge::new(banks, cores),
+            group_sum: vec![0; banks * groups],
+            group_stamp: vec![0; banks * groups],
         }
     }
 
-    /// Builds one slot per core for `problem`.
-    pub(crate) fn for_problem(problem: &Problem) -> Vec<AliveSlot> {
+    /// Builds one slot per core for `problem`, sized for `acct`'s rule.
+    pub(crate) fn for_problem(problem: &Problem, acct: &Accounting) -> Vec<AliveSlot> {
         let cores = problem.mapping().cores();
         let banks = problem.platform().banks();
         (0..cores)
-            .map(|c| AliveSlot::new(CoreId::from_index(c), banks, cores))
+            .map(CoreId::from_index)
+            .map(|c| AliveSlot::new(c, banks, cores, acct.group_count(c)))
             .collect()
     }
 
@@ -141,6 +216,7 @@ impl AliveSlot {
         if self.generation == u32::MAX {
             self.generation = 0;
             self.bank_stamp.iter_mut().for_each(|s| *s = 0);
+            self.group_stamp.iter_mut().for_each(|s| *s = 0);
         }
         self.generation += 1;
         self.busy = true;
@@ -185,14 +261,22 @@ impl AliveSlot {
 
     /// Re-occupies a fresh slot from a checkpoint snapshot, as if the
     /// recorded prefix had opened the task and accounted its interferers
-    /// here.
-    pub(crate) fn restore(&mut self, snap: &SlotSnapshot) {
+    /// here. Under [`Rule::Grouped`] the group sums are rebuilt from the
+    /// merge entries.
+    pub(crate) fn restore(&mut self, snap: &SlotSnapshot, acct: &Accounting) {
         self.open(snap.task, snap.release);
         self.total_inter = snap.total_inter;
         for &(bank, inter) in &snap.bank_inter {
             self.bank_inter_set(bank, inter);
         }
         self.merge.restore(&snap.merge);
+        if let Some(groups) = acct.groups.get(self.core.index()) {
+            for &(bank, core, accesses) in &snap.merge {
+                if let Some((group, _)) = groups.member[core.index()] {
+                    self.group_sum_add(groups.len, bank, group, accesses);
+                }
+            }
+        }
     }
 
     /// Accounts `src_task` (alive on `src_core`) as an interferer of this
@@ -203,7 +287,7 @@ impl AliveSlot {
         &mut self,
         problem: &Problem,
         arbiter: &A,
-        acct: Accounting,
+        acct: &Accounting,
         src_task: TaskId,
         src_core: CoreId,
         observer: &mut O,
@@ -249,6 +333,18 @@ impl AliveSlot {
                     };
                     additive_update(arbiter, self.core, d_dest, old, from, d_src, acct.access)
                 }
+                Rule::Grouped => {
+                    // Only the source's group term changes.
+                    self.merge.add(bank, src_core, d_src);
+                    let groups = &acct.groups[self.core.index()];
+                    match groups.member[src_core.index()] {
+                        None => old,
+                        Some((group, term)) => {
+                            let before = self.group_sum_add(groups.len, bank, group, d_src);
+                            old + acct.access * term.delta(d_dest, before, d_src)
+                        }
+                    }
+                }
                 Rule::Pairwise => {
                     // Every source task adds a term of its own.
                     let from = InterfererDemand {
@@ -266,6 +362,21 @@ impl AliveSlot {
             self.total_inter = self.total_inter + new_inter - old;
             observer.on_interference(self.task, bank, self.total_inter);
         }
+    }
+
+    /// Adds `added` to the running sum `group` of `bank` (of `groups` per
+    /// bank) and returns the sum before the add.
+    #[inline]
+    fn group_sum_add(&mut self, groups: usize, bank: BankId, group: u32, added: u64) -> u64 {
+        let i = bank.index() * groups + group as usize;
+        let before = if self.group_stamp[i] == self.generation {
+            self.group_sum[i]
+        } else {
+            self.group_stamp[i] = self.generation;
+            0
+        };
+        self.group_sum[i] = before + added;
+        before
     }
 
     #[inline]

@@ -93,11 +93,12 @@ where
     A: Arbiter + ?Sized,
 {
     fn new(problem: &'p Problem, arbiter: &'p A, options: &AnalysisOptions) -> Self {
+        let acct = Accounting::new(problem, arbiter, options.interference_mode);
         ScanEngine {
             problem,
             arbiter,
-            acct: Accounting::new(problem, arbiter, options.interference_mode),
-            slots: AliveSlot::for_problem(problem),
+            slots: AliveSlot::for_problem(problem, &acct),
+            acct,
             occupants: Vec::with_capacity(problem.mapping().cores()),
         }
     }
@@ -120,7 +121,7 @@ where
             return;
         }
         debug_assert!(newly.windows(2).all(|w| w[0] < w[1]), "newly not ascending");
-        let (problem, arbiter, acct) = (self.problem, self.arbiter, self.acct);
+        let (problem, arbiter, acct) = (self.problem, self.arbiter, &self.acct);
         let occupants = &mut self.occupants;
         occupants.clear();
         occupants.extend(self.slots.iter().map(|s| s.busy.then_some(s.task)));
@@ -190,7 +191,7 @@ where
         debug_assert_eq!(slots.len(), self.slots.len());
         for (slot, snap) in self.slots.iter_mut().zip(slots) {
             if let Some(snap) = snap {
-                slot.restore(snap);
+                slot.restore(snap, &self.acct);
             }
         }
     }

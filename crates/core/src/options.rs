@@ -15,10 +15,11 @@ pub enum InterferenceMode {
     /// Merge all interfering tasks of a core into "a single big task"
     /// (paper's conservative hypothesis) and keep `IBUS` of the
     /// aggregated set up to date each time it grows. Exact for every
-    /// arbiter, including non-additive ones, which are re-evaluated on the
-    /// whole set; for an [additive](mia_model::Arbiter::is_additive) one
-    /// only the grown core's term is swapped, O(1) per update. The
-    /// default.
+    /// arbiter. For an [additive](mia_model::Arbiter::is_additive) one
+    /// only the grown core's term is swapped, and for one that declares
+    /// [interferer groups](mia_model::Arbiter::interferer_groups) only the
+    /// grown core's group term, O(1) per update; any other arbiter is
+    /// re-evaluated on the whole set. The default.
     #[default]
     AggregateByCore,
     /// Add the pairwise `IBUS` contribution of each new interferer without
@@ -27,8 +28,8 @@ pub enum InterferenceMode {
     /// otherwise it is a sound but more pessimistic upper bound (pairwise
     /// sums dominate aggregated bounds for the monotone arbiters shipped
     /// in `mia-arbiter`). It skips the per-core merge, which only saves
-    /// time against [`InterferenceMode::AggregateByCore`] under a
-    /// non-additive arbiter.
+    /// time against [`InterferenceMode::AggregateByCore`] under an arbiter
+    /// that declares neither additivity nor interferer groups.
     PairwiseAdditive,
 }
 

@@ -28,8 +28,8 @@ use mia_core::testkit::{self, EngineRun, Event};
 use mia_core::{
     analyze_delta_with, AnalysisOptions, CheckpointLog, InterferenceMode, NoopObserver,
 };
-use mia_dag_gen::{topologies, Family, LayeredDag, Workload};
-use mia_model::{Arbiter, Cycles, Platform, Problem};
+use mia_dag_gen::{topologies, Family, LayeredDag, LayeredDagConfig, Workload};
+use mia_model::{Arbiter, CoreId, Cycles, Platform, Problem};
 use proptest::prelude::*;
 
 /// Pinned proptest case count (referenced by the dedicated CI job).
@@ -248,6 +248,104 @@ fn resumed_runs_are_bit_identical_across_engines() {
             let problem = workload(Family::FixedLayerSize(8), 56, seed);
             let label = format!("resume / {} / {mode:?} seed={seed}", arbiter.name());
             assert_resume_conformance(&problem, arbiter.as_ref(), mode, &label);
+        }
+    }
+}
+
+/// A random layered workload on a 64-core platform with 16 banks, every
+/// core running at least one task.
+fn workload_64(family: Family, total: usize, seed: u64) -> Problem {
+    let config = LayeredDagConfig {
+        cores: 64,
+        ..family.config(total, seed)
+    };
+    let problem = LayeredDag::new(config)
+        .generate()
+        .into_problem(&Platform::new(64, 16))
+        .expect("valid workload");
+    let mapping = problem.mapping();
+    assert!(
+        (16..64).all(|c| !mapping.order(CoreId::from_index(c)).is_empty()),
+        "every core outside the cluster tree must run a task"
+    );
+    problem
+}
+
+/// Past the 16-core cluster: `mppa` is the 16-core cluster tree, so on
+/// 64 cores the cores 16..63 reach the bank outside it, as victims and as
+/// interferers, while `fp` ranks all 64. Both policies are accounted by
+/// their interferer groups; full and resumed runs in both interference
+/// modes are pinned to the `mia-baseline` oracle.
+#[test]
+fn tree_and_fixed_priority_conform_on_64_cores() {
+    for name in ["mppa", "fp"] {
+        let arbiter = mia_arbiter::by_name(name).expect("registered arbiter");
+        for (family, total, seed) in [
+            (Family::FixedLayerSize(64), 192, 64),
+            (Family::FixedLayers(2), 160, 65),
+        ] {
+            let problem = workload_64(family, total, seed);
+            for mode in MODES {
+                let label = format!(
+                    "64 cores / {name} / {mode:?} / {} n={total} seed={seed}",
+                    family.label()
+                );
+                let run = assert_conformance(&problem, arbiter.as_ref(), mode, &label);
+                assert!(run.stats.ibus_calls > 0, "{label}: no IBUS calls");
+                assert_resume_conformance(&problem, arbiter.as_ref(), mode, &label);
+            }
+        }
+    }
+}
+
+/// An arbiter that declares neither additivity nor interferer groups:
+/// the MPPA tree's bound, with the structure hidden.
+struct Opaque(mia_arbiter::MppaTree);
+
+impl Arbiter for Opaque {
+    fn name(&self) -> &str {
+        "opaque-mppa"
+    }
+
+    fn bank_interference(
+        &self,
+        victim: CoreId,
+        demand: u64,
+        interferers: &[mia_model::arbiter::InterfererDemand],
+        access_cycles: Cycles,
+    ) -> Cycles {
+        self.0
+            .bank_interference(victim, demand, interferers, access_cycles)
+    }
+}
+
+/// The fallback rule, which re-evaluates `IBUS` on a bank's whole merged
+/// set after every update: no registered arbiter takes it, so an arbiter
+/// that hides its structure drives it. Full and resumed runs in both
+/// modes, inside the 16-core cluster and on 64 cores, are pinned to the
+/// `mia-baseline` oracle and give the same schedule and work counters as
+/// the structured `mppa`.
+#[test]
+fn arbiters_without_declared_structure_conform() {
+    let opaque = Opaque(mia_arbiter::MppaTree::cluster16());
+    let mppa = mia_arbiter::by_name("mppa").expect("registered arbiter");
+    let problems = [
+        ("16 cores", workload(Family::FixedLayerSize(16), 96, 71)),
+        ("64 cores", workload_64(Family::FixedLayerSize(64), 192, 72)),
+    ];
+    for (cores, problem) in &problems {
+        for mode in MODES {
+            let label = format!("{cores} / opaque mppa / {mode:?}");
+            let run = assert_conformance(problem, &opaque, mode, &label);
+            let structured = testkit::run(
+                problem,
+                mppa.as_ref(),
+                &AnalysisOptions::new().interference_mode(mode),
+            )
+            .expect("analysis");
+            assert_eq!(run.schedule, structured.schedule, "{label}");
+            assert_eq!(run.stats, structured.stats, "{label}");
+            assert_resume_conformance(problem, &opaque, mode, &label);
         }
     }
 }

@@ -91,6 +91,10 @@ pub struct OptimizeRun {
     pub seconds: f64,
     /// The optimized core assignment (task-id order), when requested.
     pub mapping: Option<Vec<u32>>,
+    /// The optimized execution order of each core (task ids), when
+    /// requested with `mapping`; left out of the JSON otherwise.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub orders: Option<Vec<Vec<u32>>>,
     /// Points on the reported Pareto front (0 in scalar mode).
     pub front_size: usize,
     /// Hypervolume proxy of the front against the seed objectives (0 in
@@ -216,6 +220,7 @@ mod tests {
                 best_chain: 2,
                 seconds: 0.7,
                 mapping: Some(vec![0, 1, 2]),
+                orders: Some(vec![vec![0], vec![1], vec![2]]),
                 front_size: 2,
                 hypervolume: 0.125,
                 front: vec![FrontRow {
@@ -251,6 +256,7 @@ mod tests {
             "\"min_slack\"",
             "\"bank_peak\"",
             "\"active_cores\"",
+            "\"orders\"",
         ] {
             assert!(json.contains(field), "missing {field}: {json}");
         }

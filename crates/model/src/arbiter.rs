@@ -31,6 +31,22 @@ pub struct InterfererDemand {
 /// increase the interference received by other tasks") and the property
 /// that makes the incremental algorithm sound. The property-based tests in
 /// `mia-arbiter` enforce it for every shipped policy.
+///
+/// Only [`name`](Arbiter::name) and
+/// [`bank_interference`](Arbiter::bank_interference) are required. A
+/// policy may also describe its structure, and `mia-core` then keeps a
+/// bank's bound up to date in O(1) per update instead of re-evaluating
+/// `IBUS` on the whole merged set:
+///
+/// * [`is_additive`](Arbiter::is_additive): the bound is a sum of one term
+///   per interfering core (`rr`, `tdm`, `fifo`, `wrr`, `regulated`);
+/// * [`interferer_groups`](Arbiter::interferer_groups): for a fixed victim
+///   the bound is a sum of one term per group of cores, each a function of
+///   the group's summed demand (`mppa`, `fp`, any `mia-arbiter`
+///   arbitration tree).
+///
+/// A policy that declares neither is still exact; it costs one `IBUS`
+/// evaluation over the merged set per update.
 pub trait Arbiter {
     /// A short human-readable policy name for reports.
     fn name(&self) -> &str;
@@ -66,6 +82,173 @@ pub trait Arbiter {
     /// property tests in `mia-arbiter` check it for every shipped policy.
     fn is_additive(&self) -> bool {
         false
+    }
+
+    /// The interferers of `victim` on a platform of `cores` cores,
+    /// partitioned into groups whose delay depends only on each group's
+    /// summed demand, or `None` (the default) when the policy declares no
+    /// such structure.
+    ///
+    /// With groups `g`, term kinds `term_g` and `S_g` the sum of the
+    /// members' merged demands, the policy must satisfy, for every
+    /// victim demand `demand > 0` and every interferer set over cores
+    /// `0..cores`,
+    ///
+    /// ```text
+    /// bank_interference(victim, demand, S, a) = a × Σ_g term_g.slots(demand, S_g)
+    /// ```
+    ///
+    /// exactly, in integer arithmetic. A core in no group contributes
+    /// nothing. The round-robin and fixed-priority stages of an
+    /// arbitration tree and flat fixed priority are sums of this kind.
+    ///
+    /// `mia-core` reads the groups once per victim core and run. When one
+    /// core's merged demand grows by `d`, only its group's term changes,
+    /// so a bank's bound moves by `a × (term(S_g + d) − term(S_g))`, O(1)
+    /// per update, instead of re-evaluating the whole merged set. The
+    /// property tests in `mia-arbiter` check the identity for every
+    /// shipped policy that declares groups.
+    fn interferer_groups(&self, victim: CoreId, cores: usize) -> Option<InterfererGroups> {
+        let _ = (victim, cores);
+        None
+    }
+}
+
+/// How one group of interferers delays a victim, given the group's
+/// summed demand `sum` and the victim's `demand` on the bank (see
+/// [`Arbiter::interferer_groups`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GroupTerm {
+    /// Every access of the group delays the victim: `sum` slots (the
+    /// higher-priority side of a fixed-priority stage).
+    Full,
+    /// At most one slot per victim access: `min(demand, sum)` slots (a
+    /// round-robin opponent, or the blocking lower-priority side of a
+    /// fixed-priority stage).
+    Capped,
+}
+
+impl GroupTerm {
+    /// The access slots a group with summed demand `sum` costs a victim
+    /// with `demand` accesses.
+    #[inline]
+    pub fn slots(self, demand: u64, sum: u64) -> u64 {
+        match self {
+            GroupTerm::Full => sum,
+            GroupTerm::Capped => demand.min(sum),
+        }
+    }
+
+    /// The slots the term gains when the group's summed demand grows from
+    /// `sum` by `added`: `slots(demand, sum + added) − slots(demand, sum)`,
+    /// the whole change of the victim's bound (in access slots) when one
+    /// member's merged demand grows.
+    #[inline]
+    pub fn delta(self, demand: u64, sum: u64, added: u64) -> u64 {
+        self.slots(demand, sum + added) - self.slots(demand, sum)
+    }
+}
+
+/// One victim's interferers partitioned into groups, each with its
+/// [`GroupTerm`]: the structure an [`Arbiter::interferer_groups`]
+/// declares.
+///
+/// # Example
+///
+/// A victim that loses to core 1 on every access and is blocked at most
+/// once per access by cores 2 and 3 together (fixed priority):
+///
+/// ```
+/// use mia_model::arbiter::{GroupTerm, InterfererGroups};
+/// use mia_model::CoreId;
+///
+/// let mut groups = InterfererGroups::new(4);
+/// groups.push(GroupTerm::Full, [CoreId(1)]);
+/// groups.push(GroupTerm::Capped, [CoreId(2), CoreId(3)]);
+/// assert_eq!(groups.len(), 2);
+/// assert_eq!(groups.group_of(CoreId(3)), Some(1));
+/// assert_eq!(groups.group_of(CoreId(0)), None);
+/// // Victim demand 5; core 1 issues 4, cores 2 and 3 issue 3 each.
+/// let slots = groups.term(0).slots(5, 4) + groups.term(1).slots(5, 3 + 3);
+/// assert_eq!(slots, 9);
+/// // Core 2 issues 2 more: only the blocking term moves, and it is capped.
+/// assert_eq!(groups.term(1).delta(5, 3 + 3, 2), 0);
+/// // Core 1 issues 2 more: every one of them delays the victim.
+/// assert_eq!(groups.term(0).delta(5, 4, 2), 2);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InterfererGroups {
+    /// Group of each core, or [`InterfererGroups::NONE`].
+    group_of: Vec<u32>,
+    /// Term of each group.
+    terms: Vec<GroupTerm>,
+}
+
+impl InterfererGroups {
+    /// `group_of` entry of a core in no group.
+    const NONE: u32 = u32::MAX;
+
+    /// No groups yet, on a platform of `cores` cores.
+    pub fn new(cores: usize) -> Self {
+        InterfererGroups {
+            group_of: vec![Self::NONE; cores],
+            terms: Vec::new(),
+        }
+    }
+
+    /// Adds a group of `members` with `term`. Members at or past the
+    /// platform's core count never interfere and are left out; a group
+    /// left with no member is not added.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member already belongs to a group.
+    pub fn push(&mut self, term: GroupTerm, members: impl IntoIterator<Item = CoreId>) {
+        let group = u32::try_from(self.terms.len()).expect("fewer than 2^32 groups");
+        let mut any = false;
+        for core in members {
+            let Some(slot) = self.group_of.get_mut(core.index()) else {
+                continue;
+            };
+            assert!(
+                *slot == Self::NONE,
+                "core {core} belongs to more than one interferer group"
+            );
+            *slot = group;
+            any = true;
+        }
+        if any {
+            self.terms.push(term);
+        }
+    }
+
+    /// Number of groups.
+    pub fn len(&self) -> usize {
+        self.terms.len()
+    }
+
+    /// True if no core interferes.
+    pub fn is_empty(&self) -> bool {
+        self.terms.is_empty()
+    }
+
+    /// The group of `core`, or `None` when it is in no group (the victim
+    /// itself, or a core past the platform's count).
+    pub fn group_of(&self, core: CoreId) -> Option<usize> {
+        self.group_of
+            .get(core.index())
+            .copied()
+            .filter(|&g| g != Self::NONE)
+            .map(|g| g as usize)
+    }
+
+    /// The term of `group`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group >= len()`.
+    pub fn term(&self, group: usize) -> GroupTerm {
+        self.terms[group]
     }
 }
 
@@ -150,6 +333,10 @@ impl<A: Arbiter + ?Sized> Arbiter for &A {
     fn is_additive(&self) -> bool {
         (**self).is_additive()
     }
+
+    fn interferer_groups(&self, victim: CoreId, cores: usize) -> Option<InterfererGroups> {
+        (**self).interferer_groups(victim, cores)
+    }
 }
 
 impl<A: Arbiter + ?Sized> Arbiter for Box<A> {
@@ -169,6 +356,10 @@ impl<A: Arbiter + ?Sized> Arbiter for Box<A> {
 
     fn is_additive(&self) -> bool {
         (**self).is_additive()
+    }
+
+    fn interferer_groups(&self, victim: CoreId, cores: usize) -> Option<InterfererGroups> {
+        (**self).interferer_groups(victim, cores)
     }
 }
 
@@ -208,6 +399,7 @@ mod tests {
             Cycles::ZERO
         );
         assert!(boxed.is_additive());
+        assert!(boxed.interferer_groups(CoreId(0), 4).is_none());
     }
 
     #[test]

@@ -30,6 +30,9 @@ pub enum ModelError {
     UnknownBank(crate::BankId),
     /// The number of per-task entries passed does not match the graph size.
     LengthMismatch { expected: usize, found: usize },
+    /// A task's core in the per-core execution orders differs from its
+    /// core in the per-task assignment given with them.
+    OrderMismatch(TaskId),
 }
 
 impl fmt::Display for ModelError {
@@ -53,6 +56,9 @@ impl fmt::Display for ModelError {
             ModelError::UnknownBank(b) => write!(f, "unknown bank {b}"),
             ModelError::LengthMismatch { expected, found } => {
                 write!(f, "expected {expected} per-task entries, found {found}")
+            }
+            ModelError::OrderMismatch(t) => {
+                write!(f, "task {t} sits on another core in the execution orders")
             }
         }
     }
