@@ -10,12 +10,13 @@
 //!
 //! Results are printed as markdown and written to `results/fig3_*.json`.
 
+use std::process::ExitCode;
 use std::time::Duration;
 
 use mia_bench::{render_sweep, sweep_family, write_json};
 use mia_dag_gen::Family;
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let timeout = args
@@ -58,9 +59,14 @@ fn main() {
             );
         });
         println!("{}", render_sweep(&sweep));
-        let path = write_json(&format!("fig3_{}", sweep.family.to_lowercase()), &sweep)
-            .expect("write results");
-        eprintln!("  -> {}", path.display());
+        let name = format!("fig3_{}", sweep.family.to_lowercase());
+        match write_json(&name, &sweep) {
+            Ok(path) => eprintln!("  -> {}", path.display()),
+            Err(e) => {
+                eprintln!("fig3: cannot write results/{name}.json: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
         all.push(sweep);
     }
 
@@ -92,4 +98,5 @@ fn main() {
         "\nShape check: every `new` exponent must stay below 2 (the paper's\n\
          O(n²) bound) and every `old` exponent well above it."
     );
+    ExitCode::SUCCESS
 }

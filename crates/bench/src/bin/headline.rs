@@ -10,8 +10,10 @@
 //! cargo run --release -p mia-bench --bin headline
 //! ```
 
+use std::process::ExitCode;
 use std::time::Duration;
 
+use mia_arbiter::RoundRobin;
 use mia_bench::{benchmark_problem, time_algorithm, write_json, Algorithm, Outcome};
 use mia_dag_gen::Family;
 use serde::Serialize;
@@ -26,7 +28,7 @@ struct HeadlineRow {
     paper_speedup: f64,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let budget = Duration::from_secs(
         std::env::args()
             .skip_while(|a| a != "--timeout")
@@ -40,11 +42,12 @@ fn main() {
     ];
     println!("| family | n | new (s) | old (s) | speedup | paper speedup |");
     println!("|--------|---|---------|---------|---------|---------------|");
+    let arbiter = RoundRobin::new();
     let mut rows = Vec::new();
     for (family, n, paper_speedup) in cases {
         let problem = benchmark_problem(family, n, 2020);
-        let new = time_algorithm(Algorithm::Incremental, &problem, budget);
-        let old = time_algorithm(Algorithm::Original, &problem, budget);
+        let new = time_algorithm(Algorithm::Incremental, &problem, &arbiter, budget);
+        let old = time_algorithm(Algorithm::Original, &problem, &arbiter, budget);
         if let (Outcome::Completed { makespan: m1, .. }, Outcome::Completed { makespan: m2, .. }) =
             (&new, &old)
         {
@@ -78,6 +81,12 @@ fn main() {
         );
         rows.push(row);
     }
-    let path = write_json("headline", &rows).expect("write results");
-    eprintln!("-> {}", path.display());
+    match write_json("headline", &rows) {
+        Ok(path) => eprintln!("-> {}", path.display()),
+        Err(e) => {
+            eprintln!("headline: cannot write results/headline.json: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
+    ExitCode::SUCCESS
 }

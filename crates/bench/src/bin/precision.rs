@@ -10,6 +10,8 @@
 //! cargo run --release -p mia-bench --bin precision
 //! ```
 
+use std::process::ExitCode;
+
 use mia_arbiter::RoundRobin;
 use mia_bench::{benchmark_problem, write_json};
 use mia_dag_gen::Family;
@@ -26,7 +28,7 @@ struct PrecisionRow {
     inflation_over_floor: f64,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let mut rows = Vec::new();
     println!("| family | n | new makespan | old makespan | old/new | floor | new/floor |");
     println!("|--------|---|--------------|--------------|---------|-------|-----------|");
@@ -59,6 +61,12 @@ fn main() {
             rows.push(row);
         }
     }
-    let path = write_json("precision", &rows).expect("write results");
-    eprintln!("-> {}", path.display());
+    match write_json("precision", &rows) {
+        Ok(path) => eprintln!("-> {}", path.display()),
+        Err(e) => {
+            eprintln!("precision: cannot write results/precision.json: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
+    ExitCode::SUCCESS
 }

@@ -6,20 +6,23 @@
 //! cargo run --release -p mia-bench --bin scale8000
 //! ```
 
+use std::process::ExitCode;
 use std::time::Duration;
 
+use mia_arbiter::RoundRobin;
 use mia_bench::{benchmark_problem, time_algorithm, write_json, Algorithm, Point};
 use mia_dag_gen::Family;
 
-fn main() {
+fn main() -> ExitCode {
     let budget = Duration::from_secs(300);
+    let arbiter = RoundRobin::new();
     let mut points = Vec::new();
     println!("| family | n | new algorithm (s) |");
     println!("|--------|---|-------------------|");
     for family in [Family::FixedLayerSize(64), Family::FixedLayers(64)] {
         for n in [1024usize, 2048, 4096, 8448, 16896] {
             let problem = benchmark_problem(family, n, 2020);
-            let outcome = time_algorithm(Algorithm::Incremental, &problem, budget);
+            let outcome = time_algorithm(Algorithm::Incremental, &problem, &arbiter, budget);
             println!(
                 "| {} | {n} | {} |",
                 family.label(),
@@ -35,7 +38,13 @@ fn main() {
             });
         }
     }
-    let path = write_json("scale8000", &points).expect("write results");
-    eprintln!("-> {}", path.display());
+    match write_json("scale8000", &points) {
+        Ok(path) => eprintln!("-> {}", path.display()),
+        Err(e) => {
+            eprintln!("scale8000: cannot write results/scale8000.json: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
     println!("\n(§VI claims >8000 tasks in reasonable time — the rows above show it.)");
+    ExitCode::SUCCESS
 }

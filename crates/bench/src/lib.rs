@@ -7,8 +7,7 @@
 //! | `fig3` | Figure 3: runtime of old vs new algorithm over the six random-DAG families (LS4/16/64, NL4/16/64), with log–log regression exponents |
 //! | `headline` | §V's headline numbers (LS64@256: 270×, NL64@384: 593×) |
 //! | `scale8000` | §VI's ">8000 tasks in reasonable time" claim |
-//! | `sweep` | arbitrary arbiter × family × size grids → one JSON report (Figure 3 in one command; see [`sweep`]) |
-//! | `dse` | interference-aware mapping optimization over the same family grid → `BENCH_dse.json` (see [`dse`]) |
+//! | `dse` | interference-aware mapping optimization over the [`sweep`] family vocabulary → `BENCH_dse.json` (see [`dse`]) |
 //! | `ablation` | ablations A1–A4 of §II.C and §IV's design choices (interference mode, aggregation, arbiters, banks) |
 //! | `precision` | V2: old-vs-new precision comparison |
 //!
@@ -16,9 +15,9 @@
 //! cooperative timeouts ([`run_timed`]), log–log least-squares fitting
 //! ([`fit_exponent`], producing the `O(n^x)` annotations of Figure 3),
 //! workload construction and report serialization. The [`sweep`] module
-//! adds the batch driver behind `mia sweep` and the `sweep` binary:
-//! arbiter × family × size grids measured concurrently into one JSON
-//! report.
+//! is the engine behind `mia sweep`: arbiter × family × size grids
+//! measured concurrently into one JSON or CSV report (Figure 3 in one
+//! command).
 
 pub mod dse;
 pub mod serve;
@@ -27,9 +26,10 @@ pub mod sweep;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+use mia_arbiter::RoundRobin;
 use mia_core::{AnalysisError, CancelToken};
 use mia_dag_gen::{Family, LayeredDag};
-use mia_model::{Cycles, Platform, Problem};
+use mia_model::{Arbiter, Cycles, Platform, Problem};
 use serde::Serialize;
 
 /// Which algorithm a measurement exercised.
@@ -136,18 +136,22 @@ pub fn benchmark_problem(family: Family, n: usize, seed: u64) -> Problem {
         .expect("generated workload is valid")
 }
 
-/// Times the chosen algorithm on a problem with a budget.
-pub fn time_algorithm(algorithm: Algorithm, problem: &Problem, budget: Duration) -> Outcome {
-    let arbiter = mia_arbiter::RoundRobin::new();
+/// Times the chosen algorithm on a problem under `arbiter` with a budget.
+pub fn time_algorithm(
+    algorithm: Algorithm,
+    problem: &Problem,
+    arbiter: &dyn Arbiter,
+    budget: Duration,
+) -> Outcome {
     match algorithm {
         Algorithm::Incremental => run_timed(budget, |token| {
             let options = mia_core::AnalysisOptions::new().cancel_token(token);
-            mia_core::analyze_with(problem, &arbiter, &options, &mut mia_core::NoopObserver)
+            mia_core::analyze_with(problem, arbiter, &options, &mut mia_core::NoopObserver)
                 .map(|r| r.schedule.makespan())
         }),
         Algorithm::Original => run_timed(budget, |token| {
             let options = mia_baseline::BaselineOptions::new().cancel_token(token);
-            mia_baseline::analyze_with(problem, &arbiter, &options).map(|r| r.schedule.makespan())
+            mia_baseline::analyze_with(problem, arbiter, &options).map(|r| r.schedule.makespan())
         }),
     }
 }
@@ -215,19 +219,20 @@ pub fn sweep_family(
     let mut all_ns: Vec<usize> = grid_new.iter().chain(grid_old).copied().collect();
     all_ns.sort_unstable();
     all_ns.dedup();
+    let arbiter = RoundRobin::new();
     for &n in &all_ns {
         let problem = benchmark_problem(family, n, seed);
         if grid_new.contains(&n) {
             let point = Point {
                 n,
                 algorithm: Algorithm::Incremental,
-                outcome: time_algorithm(Algorithm::Incremental, &problem, budget),
+                outcome: time_algorithm(Algorithm::Incremental, &problem, &arbiter, budget),
             };
             progress(&point);
             points.push(point);
         }
         if grid_old.contains(&n) && old_alive {
-            let outcome = time_algorithm(Algorithm::Original, &problem, budget);
+            let outcome = time_algorithm(Algorithm::Original, &problem, &arbiter, budget);
             old_alive = !outcome.timed_out();
             let point = Point {
                 n,

@@ -1,7 +1,6 @@
 //! The batch sweep driver: arbiter × DAG-family × size grids in one run.
 //!
-//! This is the machinery behind `mia sweep` and the `sweep` binary
-//! (`cargo run --release -p mia-bench --bin sweep`). A [`SweepSpec`]
+//! This is the machinery behind `mia sweep`. A [`SweepSpec`]
 //! names the grid; [`run_sweep`] measures every point — the points of one
 //! (family, size) group are **independent analyses** of one shared
 //! problem, so they run concurrently on a scoped thread pool (`jobs`) —
@@ -61,7 +60,7 @@ use mia_dag_gen::Family;
 use mia_model::{Platform, Problem};
 use serde::Serialize;
 
-use crate::{benchmark_problem, run_timed, Algorithm, Outcome};
+use crate::{benchmark_problem, time_algorithm, Algorithm, Outcome};
 
 /// One family of the sweep grid: a random-DAG generator configuration or
 /// a real SDF benchmark expanded to the requested task count.
@@ -364,23 +363,7 @@ fn run_point(
     let outcome = match (mia_arbiter::by_name_or_err(arbiter_name), problem) {
         (Err(error), _) | (_, Err(error)) => Outcome::Failed { error },
         (Ok(arbiter), Ok(problem)) => {
-            let measure = || match algorithm {
-                Algorithm::Incremental => run_timed(spec.budget, |token| {
-                    let options = mia_core::AnalysisOptions::new().cancel_token(token);
-                    mia_core::analyze_with(
-                        problem,
-                        arbiter.as_ref(),
-                        &options,
-                        &mut mia_core::NoopObserver,
-                    )
-                    .map(|r| r.schedule.makespan())
-                }),
-                Algorithm::Original => run_timed(spec.budget, |token| {
-                    let options = mia_baseline::BaselineOptions::new().cancel_token(token);
-                    mia_baseline::analyze_with(problem, arbiter.as_ref(), &options)
-                        .map(|r| r.schedule.makespan())
-                }),
-            };
+            let measure = || time_algorithm(algorithm, problem, arbiter.as_ref(), spec.budget);
             // Best-of-N: the analyses are deterministic, so the fastest
             // of `repeats` runs is the least noise-polluted measurement.
             // A non-completed first run is reported as-is; later noise
@@ -415,7 +398,7 @@ fn run_point(
 }
 
 /// Serializes a report as pretty-printed JSON (the one-document artefact
-/// `mia sweep` and the `sweep` binary emit).
+/// `mia sweep` emits).
 pub fn report_json(report: &SweepReport) -> String {
     serde_json::to_string_pretty(report).expect("report serializes")
 }
@@ -485,9 +468,8 @@ pub fn render_report(report: &SweepReport, format: ReportFormat) -> String {
     }
 }
 
-/// Parses sweep command-line flags, shared by `mia sweep` and the
-/// `sweep` binary. Returns the spec, the `-o`/`--out` path (if any) and
-/// the requested output format.
+/// Parses the `mia sweep` command-line flags. Returns the spec, the
+/// `-o`/`--out` path (if any) and the requested output format.
 ///
 /// Recognised flags (all optional):
 ///
@@ -502,6 +484,7 @@ pub fn render_report(report: &SweepReport, format: ReportFormat) -> String {
 /// --repeats N                          best-of-N timing    [1]
 /// --csv                                emit CSV instead of JSON
 /// -o, --out FILE                       write the report here [stdout]
+/// --profile FILE                       skipped: the CLI arms profiling
 /// ```
 ///
 /// # Errors
@@ -584,6 +567,9 @@ pub fn parse_spec(args: &[String]) -> Result<(SweepSpec, Option<String>, ReportF
                     .ok_or_else(|| "--repeats must be a positive number".to_owned())?;
             }
             "-o" | "--out" => out = Some(value_of(args, i, flag)?),
+            "--profile" => {
+                value_of(args, i, flag)?;
+            }
             "--csv" => {
                 format = ReportFormat::Csv;
                 i += 1;
@@ -760,6 +746,8 @@ mod tests {
             "30",
             "--jobs",
             "2",
+            "--profile",
+            "p.json",
             "-o",
             "x.json",
         ]
@@ -806,6 +794,7 @@ mod tests {
         assert!(bad(&["--frobnicate", "1"]).contains("unknown sweep flag"));
         assert!(bad(&["--threads", "4"]).contains("unknown sweep flag"));
         assert!(bad(&["--sizes"]).contains("needs a value"));
+        assert!(bad(&["--profile"]).contains("needs a value"));
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! The `mia sweep` subcommand: batch-measure an arbiter × DAG-family ×
 //! size grid and emit one JSON report.
 //!
-//! This is a thin argument-validation layer over the shared engine in
-//! [`mia_bench::sweep`]; the `sweep` binary of `mia-bench` drives the
-//! same engine with the same flags, so reports are interchangeable.
+//! This is a thin layer over the engine in [`mia_bench::sweep`], which
+//! also parses the flags.
 //!
 //! ```text
 //! mia sweep --families tobita,layered --arbiters rr,mppa \
@@ -24,6 +23,7 @@
 //! | `--repeats N` | timed runs per point; the fastest is reported (best-of-N strips scheduler noise from deterministic analyses) | `1` |
 //! | `--csv` | emit a flat CSV table (one row per grid point) instead of JSON — ready for plotting trajectory curves | JSON |
 //! | `-o FILE` | write the report to `FILE` | stdout |
+//! | `--profile FILE` | write a Chrome trace of the run to `FILE` | off |
 
 use std::fs;
 
@@ -42,19 +42,8 @@ use crate::commands::{profile_finish, profile_start, CliError};
 /// [`CliError::Usage`] for unknown flags or malformed grid tokens,
 /// [`CliError::Io`] if the report cannot be written.
 pub fn sweep_cmd(args: &[String]) -> Result<String, CliError> {
-    // `parse_spec` is shared with the `sweep` binary of `mia-bench` and
-    // rejects flags it does not know, so the CLI-only `--profile` pair
-    // is peeled off before the grid spec is parsed.
+    let (spec, out, format) = parse_spec(args).map_err(CliError::Usage)?;
     let profile = profile_start(args);
-    let stripped: Vec<String> = match args.iter().position(|a| a == "--profile") {
-        Some(i) => {
-            let mut rest = args.to_vec();
-            rest.drain(i..(i + 2).min(rest.len()));
-            rest
-        }
-        None => args.to_vec(),
-    };
-    let (spec, out, format) = parse_spec(&stripped).map_err(CliError::Usage)?;
     let report = run_sweep(&spec, &|_| {});
     let rendered = render_report(&report, format);
 
@@ -146,6 +135,27 @@ mod tests {
         assert!(out.contains("report written"), "{out}");
         let json = std::fs::read_to_string(&path).unwrap();
         assert!(json.contains("\"family\": \"LS4\""), "{json}");
+        std::fs::remove_file(path).ok();
+
+        let path = dir.join("sweep-report.csv");
+        let path_str = path.to_str().unwrap().to_owned();
+        let out = sweep_cmd(&args(&[
+            "--families",
+            "LS4",
+            "--sizes",
+            "16",
+            "--csv",
+            "-o",
+            &path_str,
+        ]))
+        .unwrap();
+        assert!(out.contains("report written"), "{out}");
+        let csv = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            csv.starts_with(&format!("{}\n", mia_bench::sweep::CSV_HEADER)),
+            "{csv}"
+        );
+        assert!(csv.contains("\nLS4,rr,16,new,completed,"), "{csv}");
         std::fs::remove_file(path).ok();
     }
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Plot `mia sweep` / `mia-bench sweep` / `mia-bench dse` reports.
+"""Plot `mia sweep` / `mia-bench dse` reports.
 
 Stdlib-only. Sweep reports (BENCH_sweep.json, a `points` list) become
 the runtime-vs-size trajectory curves of the paper's Figure 3; DSE
@@ -17,7 +17,7 @@ Examples:
 
     scripts/plot_sweep.py                      # chart BENCH_sweep.json
     scripts/plot_sweep.py BENCH_dse.json       # seed vs optimized bars
-    scripts/plot_sweep.py results/sweep.json --gnuplot out/
+    scripts/plot_sweep.py sweep.json --gnuplot out/
     mia sweep --sizes 1000,8000 -o r.json && scripts/plot_sweep.py r.json
 """
 

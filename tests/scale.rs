@@ -83,7 +83,7 @@ fn thirty_two_thousand_task_makespan_is_pinned() {
 /// release on current hardware, so a 120 s ceiling is pure headroom.
 ///
 /// Release-only, like the 32k pin; the CI sweep step covers the same
-/// size through `mia-bench --bin sweep --sizes ...,100000`.
+/// size through `mia sweep --sizes ...,100000`.
 #[test]
 #[cfg_attr(
     debug_assertions,

@@ -1,11 +1,7 @@
 //! Integration of the surrounding substrates with the core analysis:
-//! NoC-gated releases and sporadic MRTA, composed the way a full
-//! deployment would.
+//! NoC-gated releases, composed the way a full deployment would.
 
-use mia::arbiters::{Fifo, Regulated, RoundRobin, Tdm};
-use mia::mrta::{
-    analyze as analyze_mrta, simulate_sporadic, SporadicSimConfig, SporadicSystem, SporadicTask,
-};
+use mia::arbiters::RoundRobin;
 use mia::noc::{simulate_flows, worst_case_latencies, Flow, FlowSet, NocConfig, Torus};
 use mia::prelude::*;
 
@@ -40,40 +36,4 @@ fn noc_bounds_gate_consumer_releases() {
     let s = mia::analysis::analyze(&p, &RoundRobin::new()).unwrap();
     assert!(s.timing(entry).release >= bounds[frame.index()]);
     assert!(s.makespan() >= bounds[frame.index()] + Cycles(500));
-}
-
-/// The MRTA bounds hold under every shipped arbiter, and the arbiters
-/// order exactly as their per-bank bounds do (RR ≤ FIFO, RR ≤ TDM).
-#[test]
-fn mrta_bounds_order_by_arbiter_pessimism() {
-    let tasks = vec![
-        SporadicTask::builder("a")
-            .wcet(Cycles(30))
-            .period(Cycles(400))
-            .demand(BankDemand::single(BankId(0), 10))
-            .build()
-            .unwrap(),
-        SporadicTask::builder("b")
-            .wcet(Cycles(50))
-            .period(Cycles(600))
-            .demand(BankDemand::single(BankId(0), 20))
-            .build()
-            .unwrap(),
-    ];
-    let system = SporadicSystem::new(tasks, &[0, 1], Platform::new(2, 2)).unwrap();
-    let rr = analyze_mrta(&system, &RoundRobin::new());
-    let fifo = analyze_mrta(&system, &Fifo::new());
-    let tdm = analyze_mrta(&system, &Tdm::new());
-    let regulated = analyze_mrta(&system, &Regulated::new(2, 128));
-    for i in 0..system.len() {
-        assert!(rr.response(i) <= fifo.response(i));
-        assert!(rr.response(i) <= tdm.response(i));
-        assert!(regulated.response(i) <= rr.response(i));
-    }
-    // And the simulator respects the tightest sound bound (RR).
-    assert!(rr.schedulable());
-    let sim = simulate_sporadic(&system, &SporadicSimConfig::new());
-    for i in 0..system.len() {
-        assert!(sim.max_response(i).unwrap() <= rr.response(i));
-    }
 }
