@@ -8,7 +8,8 @@
 //! ```
 //!
 //! Flags are shared with `mia optimize`'s batch-relevant subset (see
-//! `mia_bench::dse::parse_dse_spec`). Without `-o` the report goes to
+//! `mia_bench::dse::parse_dse_spec`), and every grid point runs through
+//! the same `mia_dse::run_arbiters` driver. Without `-o` the report goes to
 //! `results/dse.json` (or stdout for `--csv`). Progress goes to stderr,
 //! one line per completed grid point.
 
@@ -28,18 +29,19 @@ fn main() -> ExitCode {
     };
     // Pareto mode folds the arbiter axis into each run's joint search,
     // so the grid is families × sizes with the arbiters inside.
-    let arbiter_runs = if spec.pareto { 1 } else { spec.arbiters.len() };
+    let pareto = spec.config.pareto.is_some();
+    let arbiter_runs = if pareto { 1 } else { spec.arbiters.len() };
     eprintln!(
         "dse: {} grid points ({} families × {} sizes × {}), {} evals each",
         spec.families.len() * spec.sizes.len() * arbiter_runs,
         spec.families.len(),
         spec.sizes.len(),
-        if spec.pareto {
+        if pareto {
             format!("arbiters {} folded", spec.arbiters.join("+"))
         } else {
             format!("{} arbiters", spec.arbiters.len())
         },
-        spec.budget_evals,
+        spec.config.budget_evals,
     );
     let report = match run_dse(&spec, &|run| {
         eprintln!(

@@ -15,11 +15,11 @@
 //!     --budget-evals 2000 --seed 7 -o BENCH_dse.json
 //! ```
 
+use std::str::FromStr;
 use std::time::Instant;
 
 use mia_dse::{
-    optimize, optimize_joint, AnnealTuning, DseConfig, FrontRow, OptimizeReport, OptimizeRun,
-    ParetoConfig, SearchSpace, Strategy,
+    run_arbiters, DseConfig, OptimizeReport, OptimizeRun, ParetoConfig, SearchSpace, Strategy,
 };
 use mia_model::BankPolicy;
 
@@ -31,26 +31,19 @@ pub struct DseSpec {
     /// Workload families (sweep vocabulary: `LS<k>`/`NL<k>`, `tobita`,
     /// `layered`, `rosace`, `sdf3:<path>`).
     pub families: Vec<SweepFamily>,
-    /// Arbiter names (one independent search per arbiter).
+    /// Arbiter names (one independent search per arbiter, or one joint
+    /// search per grid point when `config.pareto` is set).
     pub arbiters: Vec<String>,
     /// Task counts (SDF families round up to whole graph iterations).
     pub sizes: Vec<usize>,
-    /// The search strategy.
-    pub strategy: Strategy,
-    /// Base PRNG seed (both the generator mix and the search).
-    pub seed: u64,
-    /// Evaluation budget per grid point.
-    pub budget_evals: usize,
-    /// Worker threads per search (0 = all cores). Wall-clock only.
-    pub threads: usize,
-    /// Multi-objective mode: fold the arbiter list into one joint
-    /// search per grid point and report the Pareto front.
-    pub pareto: bool,
+    /// The search every grid point runs; its `seed` also mixes the
+    /// generated workloads.
+    pub config: DseConfig,
 }
 
 impl Default for DseSpec {
     /// `rosace` + `layered` × round-robin at one size, the default
-    /// 8-chain portfolio with 2000 evaluations.
+    /// 8-chain portfolio with 2000 evaluations and seed 7.
     fn default() -> Self {
         DseSpec {
             families: vec![
@@ -59,16 +52,16 @@ impl Default for DseSpec {
             ],
             arbiters: vec!["rr".to_owned()],
             sizes: vec![150],
-            strategy: Strategy::Portfolio { chains: 8 },
-            seed: 7,
-            budget_evals: 2_000,
-            threads: 0,
-            pareto: false,
+            config: DseConfig {
+                seed: 7,
+                ..DseConfig::default()
+            },
         }
     }
 }
 
-/// Runs every `family × size × arbiter` point of `spec` and assembles
+/// Runs every `family × size × arbiter` point of `spec` through
+/// [`run_arbiters`], the driver `mia optimize` uses too, and assembles
 /// the report. Grid points run sequentially — each search already
 /// parallelises over its portfolio chains.
 ///
@@ -79,105 +72,25 @@ impl Default for DseSpec {
 pub fn run_dse(spec: &DseSpec, progress: &dyn Fn(&OptimizeRun)) -> Result<OptimizeReport, String> {
     let started = Instant::now();
     let mut runs = Vec::new();
-    let make_config = || DseConfig {
-        strategy: spec.strategy,
-        seed: spec.seed,
-        budget_evals: spec.budget_evals,
-        threads: spec.threads,
-        tuning: AnnealTuning::default(),
-        pareto: spec.pareto.then(ParetoConfig::default),
-    };
-    let make_run = |space: &SearchSpace,
-                    family_label: String,
-                    arbiter: String,
-                    result: &mia_dse::DseResult,
-                    seconds: f64| OptimizeRun {
-        workload: family_label,
-        arbiter,
-        strategy: spec.strategy.label().to_owned(),
-        n: space.seed_problem().len(),
-        cores: space.seed_problem().platform().cores(),
-        chains: result.chains,
-        seed_makespan: result.seed_makespan,
-        optimized_makespan: result.best_makespan,
-        improvement_pct: result.improvement_pct(),
-        evaluations: result.stats.evaluations,
-        analyses: result.stats.analyses,
-        cache_hits: result.stats.cache_hits,
-        feasible_hits: result.stats.feasible_hits,
-        infeasible_hits: result.stats.infeasible_hits,
-        delta_resumes: result.stats.delta_resumes,
-        bound_cutoffs: result.stats.bound_cutoffs,
-        cache_hit_rate: result.stats.hit_rate(),
-        infeasible: result.stats.infeasible,
-        accepted: result.accepted,
-        best_chain: result.best_chain,
-        seconds,
-        mapping: None,
-        orders: None,
-        front_size: result.front.len(),
-        hypervolume: result.hypervolume,
-        front: result.front.iter().map(FrontRow::from_point).collect(),
-    };
     for family in &spec.families {
         for &n in &spec.sizes {
-            let problem = family.problem(n, spec.seed)?;
+            let problem = family.problem(n, spec.config.seed)?;
             let space = SearchSpace::new(problem, BankPolicy::PerCoreBank);
-            let config = make_config();
-            if spec.pareto {
-                // One joint search per grid point: the arbiter list
-                // becomes a search axis instead of an outer loop.
-                let boxed: Vec<_> = spec
-                    .arbiters
-                    .iter()
-                    .map(|name| mia_arbiter::by_name_or_err(name))
-                    .collect::<Result<_, _>>()?;
-                let refs: Vec<&(dyn mia_model::arbiter::Arbiter + Send + Sync)> =
-                    boxed.iter().map(std::convert::AsRef::as_ref).collect();
-                let arbiter_label = spec.arbiters.join("+");
-                let run_started = Instant::now();
-                let result = optimize_joint(&space, &refs, &config)
-                    .map_err(|e| format!("{} / {arbiter_label}: {e}", family.label()))?;
-                let run = make_run(
-                    &space,
-                    family.label(),
-                    arbiter_label,
-                    &result,
-                    run_started.elapsed().as_secs_f64(),
-                );
-                progress(&run);
-                runs.push(run);
-            } else {
-                for arbiter_name in &spec.arbiters {
-                    let arbiter = mia_arbiter::by_name_or_err(arbiter_name)?;
-                    let run_started = Instant::now();
-                    let result = optimize(&space, arbiter.as_ref(), &config)
-                        .map_err(|e| format!("{} / {arbiter_name}: {e}", family.label()))?;
-                    let run = make_run(
-                        &space,
-                        family.label(),
-                        arbiter_name.clone(),
-                        &result,
-                        run_started.elapsed().as_secs_f64(),
-                    );
-                    progress(&run);
-                    runs.push(run);
-                }
-            }
+            runs.extend(run_arbiters(
+                &space,
+                &family.label(),
+                &spec.arbiters,
+                &spec.config,
+                false,
+                progress,
+            )?);
         }
     }
-    // Every grid point shares one worker resolution — record what the
-    // searches actually ran with, and the raw spec separately.
-    let resolved = make_config().resolved_workers();
-    Ok(OptimizeReport {
-        seed: spec.seed,
-        budget_evals: spec.budget_evals,
-        strategy: spec.strategy.label().to_owned(),
-        threads: resolved,
-        requested_threads: spec.threads,
-        wall_seconds: started.elapsed().as_secs_f64(),
+    Ok(OptimizeReport::new(
+        &spec.config,
+        started.elapsed().as_secs_f64(),
         runs,
-    })
+    ))
 }
 
 /// Parses the `dse` binary's flags. Returns the spec, the `-o`/`--out`
@@ -201,37 +114,32 @@ pub fn run_dse(spec: &DseSpec, progress: &dyn Fn(&OptimizeRun)) -> Result<Optimi
 ///
 /// A human-readable message naming the offending flag or token.
 pub fn parse_dse_spec(args: &[String]) -> Result<(DseSpec, Option<String>, bool), String> {
+    fn num<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
+        value
+            .parse()
+            .map_err(|_| format!("{flag} must be a number"))
+    }
     let mut spec = DseSpec::default();
-    let mut out = None;
-    let mut csv = false;
-    let mut chains = 8usize;
-    let mut strategy_token = "portfolio".to_owned();
-    let value_of = |args: &[String], i: usize, flag: &str| -> Result<String, String> {
-        args.get(i + 1)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
+    let (mut out, mut csv, mut chains, mut strategy) = (None, false, None, "portfolio");
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let flag = flag.as_str();
+        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag {
             "--families" => {
-                spec.families = value_of(args, i, flag)?
+                spec.families = value()?
                     .split(',')
                     .map(parse_sweep_family_token)
                     .collect::<Result<_, _>>()?;
             }
             "--arbiters" => {
-                spec.arbiters = value_of(args, i, flag)?
-                    .split(',')
-                    .map(str::to_owned)
-                    .collect();
+                spec.arbiters = value()?.split(',').map(str::to_owned).collect();
                 for name in &spec.arbiters {
                     mia_arbiter::by_name_or_err(name)?;
                 }
             }
             "--sizes" => {
-                spec.sizes = value_of(args, i, flag)?
+                spec.sizes = value()?
                     .split(',')
                     .map(|tok| {
                         tok.parse::<usize>()
@@ -241,49 +149,18 @@ pub fn parse_dse_spec(args: &[String]) -> Result<(DseSpec, Option<String>, bool)
                     })
                     .collect::<Result<_, _>>()?;
             }
-            "--strategy" => strategy_token = value_of(args, i, flag)?,
-            "--chains" => {
-                chains = value_of(args, i, flag)?
-                    .parse()
-                    .ok()
-                    .filter(|&c| c > 0)
-                    .ok_or_else(|| "--chains must be a positive number".to_owned())?;
-            }
-            "--seed" => {
-                spec.seed = value_of(args, i, flag)?
-                    .parse()
-                    .map_err(|_| "--seed must be a number".to_owned())?;
-            }
-            "--budget-evals" => {
-                spec.budget_evals = value_of(args, i, flag)?
-                    .parse()
-                    .map_err(|_| "--budget-evals must be a number".to_owned())?;
-            }
-            "--threads" => {
-                spec.threads = value_of(args, i, flag)?
-                    .parse()
-                    .map_err(|_| "--threads must be a number".to_owned())?;
-            }
-            "-o" | "--out" => out = Some(value_of(args, i, flag)?),
-            "--pareto" => {
-                spec.pareto = true;
-                i += 1;
-                continue;
-            }
-            "--csv" => {
-                csv = true;
-                i += 1;
-                continue;
-            }
+            "--strategy" => strategy = value()?,
+            "--chains" => chains = Some(num(flag, value()?)?),
+            "--seed" => spec.config.seed = num(flag, value()?)?,
+            "--budget-evals" => spec.config.budget_evals = num(flag, value()?)?,
+            "--threads" => spec.config.threads = num(flag, value()?)?,
+            "-o" | "--out" => out = Some(value()?.clone()),
+            "--pareto" => spec.config.pareto = Some(ParetoConfig::default()),
+            "--csv" => csv = true,
             other => return Err(format!("unknown dse flag `{other}`")),
         }
-        i += 2;
     }
-    spec.strategy = match strategy_token.as_str() {
-        "anneal" => Strategy::Anneal,
-        "portfolio" => Strategy::Portfolio { chains },
-        other => return Err(format!("unknown strategy `{other}` (anneal, portfolio)")),
-    };
+    spec.config.strategy = Strategy::parse(strategy, chains)?;
     if spec.families.is_empty() || spec.arbiters.is_empty() || spec.sizes.is_empty() {
         return Err("families, arbiters and sizes must all be non-empty".to_owned());
     }
@@ -300,11 +177,14 @@ mod tests {
             families: vec![SweepFamily::Rosace],
             arbiters: vec!["rr".to_owned(), "mppa".to_owned()],
             sizes: vec![25],
-            strategy: Strategy::Portfolio { chains: 2 },
-            seed: 7,
-            budget_evals: 40,
-            threads: 1,
-            pareto: false,
+            config: DseConfig {
+                strategy: Strategy::Portfolio { chains: 2 },
+                seed: 7,
+                budget_evals: 40,
+                threads: 1,
+                pareto: None,
+                ..DseConfig::default()
+            },
         };
         let seen = std::cell::Cell::new(0);
         let report = run_dse(&spec, &|_| seen.set(seen.get() + 1)).unwrap();
@@ -330,11 +210,14 @@ mod tests {
             families: vec![SweepFamily::Rosace],
             arbiters: vec!["rr".to_owned()],
             sizes: vec![25],
-            strategy: Strategy::Portfolio { chains: 3 },
-            seed: 2,
-            budget_evals: 60,
-            threads: 2,
-            pareto: false,
+            config: DseConfig {
+                strategy: Strategy::Portfolio { chains: 3 },
+                seed: 2,
+                budget_evals: 60,
+                threads: 2,
+                pareto: None,
+                ..DseConfig::default()
+            },
         };
         let a = run_dse(&spec, &|_| {}).unwrap();
         let b = run_dse(&spec, &|_| {}).unwrap();
@@ -373,11 +256,11 @@ mod tests {
         assert_eq!(spec.families.len(), 2);
         assert_eq!(spec.arbiters, vec!["rr", "mppa"]);
         assert_eq!(spec.sizes, vec![100, 200]);
-        assert_eq!(spec.strategy, Strategy::Anneal);
-        assert_eq!(spec.seed, 9);
-        assert_eq!(spec.budget_evals, 500);
-        assert_eq!(spec.threads, 4);
-        assert!(spec.pareto);
+        assert_eq!(spec.config.strategy, Strategy::Anneal);
+        assert_eq!(spec.config.seed, 9);
+        assert_eq!(spec.config.budget_evals, 500);
+        assert_eq!(spec.config.threads, 4);
+        assert_eq!(spec.config.pareto, Some(ParetoConfig::default()));
         assert!(csv);
         assert_eq!(out.as_deref(), Some("x.json"));
     }
@@ -392,6 +275,8 @@ mod tests {
         assert!(bad(&["--arbiters", "bogus"]).contains("unknown arbiter"));
         assert!(bad(&["--strategy", "quantum"]).contains("unknown strategy"));
         assert!(bad(&["--chains", "0"]).contains("--chains"));
+        assert!(bad(&["--strategy", "anneal", "--chains", "3"])
+            .contains("--chains only applies to the portfolio strategy"));
         assert!(bad(&["--frobnicate", "1"]).contains("unknown dse flag"));
     }
 
@@ -401,11 +286,14 @@ mod tests {
             families: vec![SweepFamily::Rosace],
             arbiters: vec!["rr".to_owned(), "mppa".to_owned()],
             sizes: vec![25],
-            strategy: Strategy::Portfolio { chains: 3 },
-            seed: 7,
-            budget_evals: 90,
-            threads: 1,
-            pareto: true,
+            config: DseConfig {
+                strategy: Strategy::Portfolio { chains: 3 },
+                seed: 7,
+                budget_evals: 90,
+                threads: 1,
+                pareto: Some(ParetoConfig::default()),
+                ..DseConfig::default()
+            },
         };
         let report = run_dse(&spec, &|_| {}).unwrap();
         // One joint run per grid point, not one per arbiter.

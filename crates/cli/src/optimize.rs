@@ -40,8 +40,8 @@ use std::time::Instant;
 
 use mia_core::AnalysisOptions;
 use mia_dse::{
-    optimize, optimize_joint, render_dse_report, AnnealTuning, DseConfig, DseReportFormat,
-    FrontRow, ObjMask, OptimizeReport, OptimizeRun, ParetoConfig, SearchSpace, Strategy,
+    render_dse_report, run_arbiters, AnnealTuning, DseConfig, DseReportFormat, ObjMask,
+    OptimizeReport, ParetoConfig, SearchSpace, Strategy,
 };
 use mia_model::{BankPolicy, Cycles, Platform, Problem};
 
@@ -76,34 +76,17 @@ pub(crate) fn optimize_loaded(
     label: &str,
     args: &[String],
 ) -> Result<String, CliError> {
-    let parse_num = |flag: &str, default: usize| -> Result<usize, CliError> {
+    fn num<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, CliError> {
         opt(args, flag)
-            .map_or(Ok(default), str::parse)
+            .map(str::parse)
+            .transpose()
             .map_err(|_| CliError::Usage(format!("{flag} must be a number")))
-    };
-    let chains = parse_num("--chains", 8)?;
-    if chains == 0 {
-        return Err(CliError::Usage("--chains must be a positive number".into()));
     }
-    let strategy = match opt(args, "--strategy").unwrap_or("portfolio") {
-        "anneal" if opt(args, "--chains").is_some() => {
-            return Err(CliError::Usage(
-                "--chains only applies to the portfolio strategy".into(),
-            ))
-        }
-        "anneal" => Strategy::Anneal,
-        "portfolio" => Strategy::Portfolio { chains },
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown strategy `{other}` (anneal, portfolio)"
-            )))
-        }
-    };
-    let seed: u64 = opt(args, "--seed")
-        .map_or(Ok(0), str::parse)
-        .map_err(|_| CliError::Usage("--seed must be a number".into()))?;
-    let budget_evals = parse_num("--budget-evals", 2_000)?;
-    let threads = parse_num("--threads", 0)?;
+    let strategy = opt(args, "--strategy").unwrap_or("portfolio");
+    let strategy = Strategy::parse(strategy, num(args, "--chains")?).map_err(CliError::Usage)?;
+    let seed = num(args, "--seed")?.unwrap_or(0);
+    let budget_evals = num(args, "--budget-evals")?.unwrap_or(2_000);
+    let threads = num(args, "--threads")?.unwrap_or(0);
     let arbiters: Vec<String> = opt(args, "--arbiters")
         .unwrap_or("rr")
         .split(',')
@@ -114,29 +97,24 @@ pub(crate) fn optimize_loaded(
     }
 
     let mut options = AnalysisOptions::new();
-    if let Some(deadline) = opt(args, "--deadline") {
-        let deadline: u64 = deadline
-            .parse()
-            .map_err(|_| CliError::Usage("--deadline must be a number".into()))?;
+    if let Some(deadline) = num(args, "--deadline")? {
         options = options.deadline(Cycles(deadline));
     }
     // Multi-objective mode: `--pareto` (or an explicit `--objectives`
     // mask, which implies it) switches the search to the joint-axis
-    // front-reporting driver. Without either flag, the scalar path below
-    // is byte-identical to the pre-Pareto CLI.
+    // front-reporting driver. Without either flag, the scalar path is
+    // byte-identical to the pre-Pareto CLI.
     let pareto_requested = has_flag(args, "--pareto") || opt(args, "--objectives").is_some();
     let mask = match opt(args, "--objectives") {
         Some(spec) => ObjMask::parse(spec).map_err(CliError::Usage)?,
         None => ObjMask::all(),
     };
-    let front_capacity = parse_num("--front-capacity", 64)?;
+    let front_capacity = num(args, "--front-capacity")?.unwrap_or(64);
 
     // Arm telemetry before the search starts: the evaluator resolves
     // its metric handles in `Evaluator::new`.
     let profile = profile_start(args);
 
-    let n = problem.len();
-    let cores = problem.platform().cores();
     let space = SearchSpace::new(problem, policy).with_options(options);
     let config = DseConfig {
         strategy,
@@ -151,112 +129,35 @@ pub(crate) fn optimize_loaded(
     };
 
     let started = Instant::now();
-    let mut runs = Vec::new();
-    let mut summary = String::new();
     let with_mapping = has_flag(args, "--with-mapping");
-    let make_run = |name: &str, result: &mia_dse::DseResult, seconds: f64| OptimizeRun {
-        workload: label.to_owned(),
-        arbiter: name.to_owned(),
-        strategy: strategy.label().to_owned(),
-        n,
-        cores,
-        chains: result.chains,
-        seed_makespan: result.seed_makespan,
-        optimized_makespan: result.best_makespan,
-        improvement_pct: result.improvement_pct(),
-        evaluations: result.stats.evaluations,
-        analyses: result.stats.analyses,
-        cache_hits: result.stats.cache_hits,
-        feasible_hits: result.stats.feasible_hits,
-        infeasible_hits: result.stats.infeasible_hits,
-        delta_resumes: result.stats.delta_resumes,
-        bound_cutoffs: result.stats.bound_cutoffs,
-        cache_hit_rate: result.stats.hit_rate(),
-        infeasible: result.stats.infeasible,
-        accepted: result.accepted,
-        best_chain: result.best_chain,
-        seconds,
-        mapping: with_mapping.then(|| {
-            (0..n)
-                .map(|i| {
-                    result
-                        .best_mapping
-                        .core_of(mia_model::TaskId::from_index(i))
-                        .0
-                })
-                .collect()
-        }),
-        orders: with_mapping.then(|| {
-            let best = &result.best_mapping;
-            (0..best.cores())
-                .map(|c| {
-                    let order = best.order(mia_model::CoreId::from_index(c));
-                    order.iter().map(|t| t.0).collect()
-                })
-                .collect()
-        }),
-        front_size: result.front.len(),
-        hypervolume: result.hypervolume,
-        front: result.front.iter().map(FrontRow::from_point).collect(),
-    };
-
-    if config.pareto.is_some() {
-        // One joint run folds the whole arbiter list into the search.
-        let boxed: Vec<_> = arbiters
-            .iter()
-            .map(|name| mia_arbiter::by_name_or_err(name).map_err(CliError::Usage))
-            .collect::<Result<_, _>>()?;
-        let refs: Vec<&(dyn mia_model::arbiter::Arbiter + Send + Sync)> =
-            boxed.iter().map(std::convert::AsRef::as_ref).collect();
-        let name = arbiters.join("+");
-        let run_started = Instant::now();
-        let result = optimize_joint(&space, &refs, &config)
-            .map_err(|e| CliError::Analysis(format!("{label} / {name}: {e}")))?;
-        let seconds = run_started.elapsed().as_secs_f64();
+    let runs = run_arbiters(&space, label, &arbiters, &config, with_mapping, |_| {})
+        .map_err(CliError::Analysis)?;
+    let report = OptimizeReport::new(&config, started.elapsed().as_secs_f64(), runs);
+    let mut summary = String::new();
+    for run in &report.runs {
+        let detail = if pareto_requested {
+            let (size, axes, hv) = (run.front_size, mask.label(), run.hypervolume);
+            format!(
+                "front {size} ({axes})  hypervolume {hv:.4}  evals {}",
+                run.evaluations
+            )
+        } else {
+            let (resumes, rate) = (run.delta_resumes, run.cache_hit_rate * 100.0);
+            format!(
+                "evals {}  delta resumes {resumes}  cache hit rate {rate:.1}%",
+                run.evaluations
+            )
+        };
         summary.push_str(&format!(
-            "{label} / {name}: makespan {} -> {} ({:+.2}%)  front {} ({})  hypervolume {:.4}  evals {}  {:.2}s\n",
-            result.seed_makespan,
-            result.best_makespan,
-            -result.improvement_pct(),
-            result.front.len(),
-            mask.label(),
-            result.hypervolume,
-            result.stats.evaluations,
-            seconds,
+            "{label} / {}: makespan {} -> {} ({:+.2}%)  {detail}  {:.2}s\n",
+            run.arbiter,
+            run.seed_makespan,
+            run.optimized_makespan,
+            -run.improvement_pct,
+            run.seconds,
         ));
-        runs.push(make_run(&name, &result, seconds));
-    } else {
-        for name in &arbiters {
-            let arbiter = mia_arbiter::by_name_or_err(name).map_err(CliError::Usage)?;
-            let run_started = Instant::now();
-            let result = optimize(&space, arbiter.as_ref(), &config)
-                .map_err(|e| CliError::Analysis(format!("{label} / {name}: {e}")))?;
-            let seconds = run_started.elapsed().as_secs_f64();
-            summary.push_str(&format!(
-                "{label} / {name}: makespan {} -> {} ({:+.2}%)  evals {}  delta resumes {}  cache hit rate {:.1}%  {:.2}s\n",
-                result.seed_makespan,
-                result.best_makespan,
-                -result.improvement_pct(),
-                result.stats.evaluations,
-                result.stats.delta_resumes,
-                result.stats.hit_rate() * 100.0,
-                seconds,
-            ));
-            runs.push(make_run(name, &result, seconds));
-        }
     }
 
-    let report = OptimizeReport {
-        seed,
-        budget_evals,
-        strategy: strategy.label().to_owned(),
-        // Record the worker count the search actually ran with — the
-        // `0 = all cores` sentinel is kept separately.
-        threads: config.resolved_workers(),
-        requested_threads: threads,
-        wall_seconds: started.elapsed().as_secs_f64(),
-        runs,
-    };
     let format = if has_flag(args, "--csv") {
         DseReportFormat::Csv
     } else {
@@ -548,6 +449,55 @@ mod tests {
         // Different seed mappings analyze differently (48 tasks, 4
         // layers: balancing visibly departs from cyclic).
         assert_ne!(seed_of(&cyclic), seed_of(&balanced), "{cyclic}\n{balanced}");
+    }
+
+    /// `mia optimize rosace` and the `dse` grid's `rosace` point at size
+    /// 25 build their seed problems separately (`sdf_problem_full` and
+    /// `SweepFamily::problem`); the shared driver must then report the
+    /// same runs, apart from wall-clock seconds.
+    #[test]
+    fn optimize_and_the_dse_grid_agree() {
+        use mia_bench::dse::{run_dse, DseSpec};
+        use mia_bench::sweep::SweepFamily;
+
+        // Pretty JSON puts each field on its own line.
+        let without_clock = |json: &str| -> Vec<String> {
+            json.lines()
+                .filter(|l| {
+                    let l = l.trim_start();
+                    !l.starts_with("\"seconds\":") && !l.starts_with("\"wall_seconds\":")
+                })
+                .map(str::to_owned)
+                .collect()
+        };
+        for pareto in [false, true] {
+            let cli = "optimize rosace --arbiters rr,mppa --budget-evals 200 --seed 7 --threads 1";
+            let mut cli: Vec<&str> = cli.split(' ').collect();
+            if pareto {
+                cli.push("--pareto");
+            }
+            let out = run(&args(&cli)).unwrap();
+            let cli_json = &out[out.find("\n{").expect("report JSON") + 1..];
+            let spec = DseSpec {
+                families: vec![SweepFamily::Rosace],
+                arbiters: vec!["rr".to_owned(), "mppa".to_owned()],
+                sizes: vec![25],
+                config: DseConfig {
+                    seed: 7,
+                    budget_evals: 200,
+                    threads: 1,
+                    pareto: pareto.then(ParetoConfig::default),
+                    ..DseConfig::default()
+                },
+            };
+            let report = run_dse(&spec, &|_| {}).unwrap();
+            assert_eq!(report.runs.len(), if pareto { 1 } else { 2 });
+            assert_eq!(
+                without_clock(cli_json.trim_end()),
+                without_clock(&mia_dse::report_json(&report)),
+                "pareto = {pareto}"
+            );
+        }
     }
 
     #[test]

@@ -110,8 +110,8 @@ pub use portfolio::{
     optimize, optimize_joint, optimize_with_objective, DseConfig, DseResult, ParetoConfig, Strategy,
 };
 pub use report::{
-    render_dse_report, report_csv, report_json, DseReportFormat, FrontRow, OptimizeReport,
-    OptimizeRun, DSE_CSV_HEADER,
+    render_dse_report, report_csv, report_json, run_arbiters, DseReportFormat, FrontRow,
+    OptimizeReport, OptimizeRun, DSE_CSV_HEADER,
 };
 
 use std::fmt;

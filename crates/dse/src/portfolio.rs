@@ -38,6 +38,28 @@ impl Strategy {
         }
     }
 
+    /// Parses a `--strategy` token with the `--chains` value, if one was
+    /// given (default 8 chains). Both front ends parse through here.
+    ///
+    /// # Errors
+    ///
+    /// An unknown token, zero chains, or chains given to `anneal`.
+    pub fn parse(token: &str, chains: Option<usize>) -> Result<Self, String> {
+        if chains == Some(0) {
+            return Err("--chains must be a positive number".to_owned());
+        }
+        match token {
+            "anneal" if chains.is_some() => {
+                Err("--chains only applies to the portfolio strategy".to_owned())
+            }
+            "anneal" => Ok(Strategy::Anneal),
+            "portfolio" => Ok(Strategy::Portfolio {
+                chains: chains.unwrap_or(8),
+            }),
+            other => Err(format!("unknown strategy `{other}` (anneal, portfolio)")),
+        }
+    }
+
     fn chains(&self) -> usize {
         match *self {
             Strategy::Anneal => 1,

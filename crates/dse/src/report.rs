@@ -1,8 +1,14 @@
-//! Serializable reports: the `mia optimize` / `mia-bench dse` artefact.
+//! The optimize driver shared by `mia optimize` and the `mia-bench`
+//! `dse` grid, and the report it produces.
 
+use std::time::Instant;
+
+use mia_model::arbiter::Arbiter;
+use mia_model::{CoreId, TaskId};
 use serde::Serialize;
 
 use crate::pareto::ParetoPoint;
+use crate::{optimize, optimize_joint, DseConfig, SearchSpace};
 
 /// One point of a reported Pareto front: the objective triple plus the
 /// design that achieves it. Rows are emitted in the archive's canonical
@@ -124,6 +130,110 @@ pub struct OptimizeReport {
     pub wall_seconds: f64,
     /// Every run, in deterministic workload × arbiter order.
     pub runs: Vec<OptimizeRun>,
+}
+
+impl OptimizeReport {
+    /// Wraps `runs` with the knobs `config` gave them. `threads` records
+    /// the worker count the searches actually ran with; the raw `0 = all
+    /// cores` spec goes to `requested_threads`.
+    pub fn new(config: &DseConfig, wall_seconds: f64, runs: Vec<OptimizeRun>) -> Self {
+        OptimizeReport {
+            seed: config.seed,
+            budget_evals: config.budget_evals,
+            strategy: config.strategy.label().to_owned(),
+            threads: config.resolved_workers(),
+            requested_threads: config.threads,
+            wall_seconds,
+            runs,
+        }
+    }
+}
+
+/// Optimizes `space` under each named arbiter and returns one report row
+/// per search, labelled `label`. With [`DseConfig::pareto`] set, the
+/// whole list is one joint search ([`optimize_joint`]) reported as
+/// `rr+mppa+…`; otherwise each arbiter gets its own [`optimize`] run.
+/// `with_mapping` fills the rows' `mapping` and `orders`. `on_run` sees
+/// each row as soon as its search ends.
+///
+/// # Errors
+///
+/// An unknown arbiter name, or a failed search as `label / arbiter:
+/// error`.
+pub fn run_arbiters(
+    space: &SearchSpace,
+    label: &str,
+    arbiters: &[String],
+    config: &DseConfig,
+    with_mapping: bool,
+    mut on_run: impl FnMut(&OptimizeRun),
+) -> Result<Vec<OptimizeRun>, String> {
+    let boxed = arbiters
+        .iter()
+        .map(|name| mia_arbiter::by_name_or_err(name))
+        .collect::<Result<Vec<_>, _>>()?;
+    let pareto = config.pareto.is_some();
+    let width = if pareto { arbiters.len().max(1) } else { 1 };
+    let n = space.seed_problem().len();
+    let mut runs = Vec::new();
+    for (names, group) in arbiters.chunks(width).zip(boxed.chunks(width)) {
+        let name = names.join("+");
+        let refs: Vec<&(dyn Arbiter + Send + Sync)> =
+            group.iter().map(std::convert::AsRef::as_ref).collect();
+        let started = Instant::now();
+        let result = if pareto {
+            optimize_joint(space, &refs, config)
+        } else {
+            optimize(space, refs[0], config)
+        }
+        .map_err(|e| format!("{label} / {name}: {e}"))?;
+        let seconds = started.elapsed().as_secs_f64();
+        let best = &result.best_mapping;
+        let run = OptimizeRun {
+            workload: label.to_owned(),
+            arbiter: name,
+            strategy: config.strategy.label().to_owned(),
+            n,
+            cores: space.seed_problem().platform().cores(),
+            chains: result.chains,
+            seed_makespan: result.seed_makespan,
+            optimized_makespan: result.best_makespan,
+            improvement_pct: result.improvement_pct(),
+            evaluations: result.stats.evaluations,
+            analyses: result.stats.analyses,
+            cache_hits: result.stats.cache_hits,
+            feasible_hits: result.stats.feasible_hits,
+            infeasible_hits: result.stats.infeasible_hits,
+            delta_resumes: result.stats.delta_resumes,
+            bound_cutoffs: result.stats.bound_cutoffs,
+            cache_hit_rate: result.stats.hit_rate(),
+            infeasible: result.stats.infeasible,
+            accepted: result.accepted,
+            best_chain: result.best_chain,
+            seconds,
+            mapping: with_mapping.then(|| {
+                (0..n)
+                    .map(|i| best.core_of(TaskId::from_index(i)).0)
+                    .collect()
+            }),
+            orders: with_mapping.then(|| {
+                (0..best.cores())
+                    .map(|c| {
+                        best.order(CoreId::from_index(c))
+                            .iter()
+                            .map(|t| t.0)
+                            .collect()
+                    })
+                    .collect()
+            }),
+            front_size: result.front.len(),
+            hypervolume: result.hypervolume,
+            front: result.front.iter().map(FrontRow::from_point).collect(),
+        };
+        on_run(&run);
+        runs.push(run);
+    }
+    Ok(runs)
 }
 
 /// Header row of [`report_csv`] — consumers can pin against it. New
