@@ -214,7 +214,10 @@ where
     // then make the releases dependency-consistent.
     let mut rel: Vec<Cycles> = min_rel.clone();
     let mut resp: Vec<Cycles> = wcet.clone();
-    release_sweep(problem, &mut rel, &resp, &min_rel, &core_pred, &mut stats);
+    let order = combined_order(problem);
+    release_sweep(
+        problem, &order, &mut rel, &resp, &min_rel, &core_pred, &mut stats,
+    );
 
     // Reusable merge buffers for the interference evaluations — shared
     // machinery with `mia-core` (see `mia_model::scratch`): one reset per
@@ -253,7 +256,9 @@ where
         // Phase 2: one sweep adjusting release dates to the new responses
         // (Θ = G(R)); re-stabilisation happens across outer rounds, which
         // is what makes the original algorithm iterate O(n) times.
-        let rel_changed = release_sweep(problem, &mut rel, &resp, &min_rel, &core_pred, &mut stats);
+        let rel_changed = release_sweep(
+            problem, &order, &mut rel, &resp, &min_rel, &core_pred, &mut stats,
+        );
 
         if let Some(deadline) = options.deadline {
             let makespan = (0..n).map(|i| rel[i] + resp[i]).max().unwrap();
@@ -433,6 +438,7 @@ where
 /// interaction with phase 1 is what the outer rounds iterate on.)
 fn release_sweep(
     problem: &Problem,
+    order: &[TaskId],
     rel: &mut [Cycles],
     resp: &[Cycles],
     min_rel: &[Cycles],
@@ -440,7 +446,6 @@ fn release_sweep(
     stats: &mut BaselineStats,
 ) -> bool {
     let graph = problem.graph();
-    let order = problem.combined_order();
     stats.release_passes += 1;
     let mut changed = false;
     for &t in order {
@@ -458,6 +463,55 @@ fn release_sweep(
         }
     }
     changed
+}
+
+/// The smallest-id-first topological order of the combined precedence
+/// relation: dependency edges plus consecutive tasks on one core. The
+/// release sweep follows it, so one pass propagates release dates fully.
+///
+/// # Panics
+///
+/// Never for a [`Problem`]: construction rejects a cyclic relation.
+pub fn combined_order(problem: &Problem) -> Vec<TaskId> {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    let graph = problem.graph();
+    let n = graph.len();
+    let mut indegree = vec![0usize; n];
+    for e in graph.edges() {
+        indegree[e.dst.index()] += 1;
+    }
+    // Successor lookup for core-order edges: next task on the same core.
+    let mut core_next: Vec<Option<TaskId>> = vec![None; n];
+    for (_, order) in problem.mapping().iter() {
+        for pair in order.windows(2) {
+            indegree[pair[1].index()] += 1;
+            core_next[pair[0].index()] = Some(pair[1]);
+        }
+    }
+    let mut ready: BinaryHeap<Reverse<TaskId>> = (0..n)
+        .map(TaskId::from_index)
+        .filter(|t| indegree[t.index()] == 0)
+        .map(Reverse)
+        .collect();
+    let mut out = Vec::with_capacity(n);
+    while let Some(Reverse(t)) = ready.pop() {
+        out.push(t);
+        let succs = graph.successors(t).map(|e| e.dst);
+        for succ in succs.chain(core_next[t.index()]) {
+            indegree[succ.index()] -= 1;
+            if indegree[succ.index()] == 0 {
+                ready.push(Reverse(succ));
+            }
+        }
+    }
+    assert_eq!(
+        out.len(),
+        n,
+        "a validated problem has an acyclic combined relation"
+    );
+    out
 }
 
 #[cfg(test)]
@@ -503,6 +557,19 @@ mod tests {
         }
         let m = Mapping::from_assignment(&g, &[0, 1, 1, 2, 3]).unwrap();
         Problem::new(g, m, Platform::new(4, 4)).unwrap()
+    }
+
+    #[test]
+    fn combined_order_respects_core_order() {
+        // Two independent tasks on one core: combined order must follow the
+        // mapping order even without dependency edges.
+        let mut g = TaskGraph::new();
+        let a = g.add_task(Task::builder("a").wcet(Cycles(1)));
+        let b = g.add_task(Task::builder("b").wcet(Cycles(1)));
+        let m = Mapping::from_orders(&g, vec![vec![b, a]]).unwrap();
+        let p = Problem::new(g, m, Platform::new(1, 1)).unwrap();
+        assert_eq!(combined_order(&p), vec![b, a]);
+        assert_eq!(p.mapping().core_of(a), CoreId(0));
     }
 
     #[test]

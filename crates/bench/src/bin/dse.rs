@@ -51,7 +51,7 @@ fn main() -> ExitCode {
             run.n,
             run.seed_makespan,
             run.optimized_makespan,
-            -run.improvement_pct,
+            run.makespan_change_pct(),
             run.evaluations,
             run.cache_hit_rate * 100.0,
             run.seconds,

@@ -516,6 +516,15 @@ pub(crate) fn load_problem(path: &str, args: &[String]) -> Result<Problem, CliEr
         .map_err(|e| CliError::Parse(format!("{path}: {e}")))
 }
 
+/// The `--seed` value (0 when absent). A value that is not a number is
+/// a usage error, never silently seed 0.
+fn seed_opt(args: &[String]) -> Result<u64, CliError> {
+    opt(args, "--seed").map_or(Ok(0), |s| {
+        s.parse()
+            .map_err(|_| CliError::Usage(format!("`--seed` must be a number, found `{s}`")))
+    })
+}
+
 fn generate(args: &[String]) -> Result<String, CliError> {
     let family = parse_family(
         opt(args, "--family").ok_or_else(|| CliError::Usage("generate needs --family".into()))?,
@@ -525,7 +534,7 @@ fn generate(args: &[String]) -> Result<String, CliError> {
         .ok_or_else(|| CliError::Usage("generate needs -n <tasks>".into()))?
         .parse()
         .map_err(|_| CliError::Usage("-n must be a number".into()))?;
-    let seed: u64 = opt(args, "--seed").unwrap_or("0").parse().unwrap_or(0);
+    let seed = seed_opt(args)?;
     let workload = LayeredDag::new(family.config(n, seed)).generate();
     let platform = Platform::mppa256_cluster();
     let file = WorkloadFile::from_workload(&workload, &platform);
@@ -701,7 +710,7 @@ pub(crate) fn render_simulation(problem: &Problem, args: &[String]) -> Result<St
             )))
         }
     };
-    let seed: u64 = opt(args, "--seed").unwrap_or("0").parse().unwrap_or(0);
+    let seed = seed_opt(args)?;
     let run = simulate(problem, &schedule, &SimConfig::new(pattern).seed(seed))
         .map_err(|e| CliError::Analysis(e.to_string()))?;
     let mut out = format!(
@@ -862,6 +871,12 @@ pub(crate) mod tests {
             ),
             (vec!["sweep", "--threads", "1,4"], "--threads"),
             (vec!["serve", "--port", "4117"], "--port"),
+            // A malformed seed is refused, not read as seed 0.
+            (
+                vec!["generate", "--family", "LS16", "-n", "50", "--seed", "x"],
+                "--seed",
+            ),
+            (vec!["simulate", &path_str, "--seed", "x"], "--seed"),
         ] {
             let err = run(&args(&bad)).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{bad:?}: {err}");

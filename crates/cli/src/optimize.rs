@@ -153,7 +153,7 @@ pub(crate) fn optimize_loaded(
             run.arbiter,
             run.seed_makespan,
             run.optimized_makespan,
-            -run.improvement_pct,
+            run.makespan_change_pct(),
             run.seconds,
         ));
     }

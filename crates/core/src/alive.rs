@@ -56,7 +56,7 @@ use mia_model::arbiter::{additive_update, Arbiter, GroupTerm, InterfererDemand};
 use mia_model::scratch::DemandMerge;
 use mia_model::{BankId, CoreId, Cycles, Problem, TaskId};
 
-use crate::checkpoint::SlotSnapshot;
+use crate::checkpoint::{Checkpoint, SlotSnapshot};
 use crate::{AnalysisStats, InterferenceMode, Observer};
 
 /// Per-core bookkeeping slot for the alive task currently executing on
@@ -236,42 +236,54 @@ impl AliveSlot {
         self.release + wcet + self.total_inter
     }
 
-    /// Freezes the busy slot's interference state for a checkpoint. Only
-    /// current-generation entries are captured. No record of which
+    /// Freezes the busy slot's interference state for a checkpoint,
+    /// appending its entries to the checkpoint's flat `entries` buffer.
+    /// Only current-generation entries are captured. No record of which
     /// sources were accounted is needed: every source task enters the
     /// alive set exactly once per run, and the driver offers each pair
     /// exactly once, so a source accounted in the prefix is never offered
     /// to this destination again in the resumed suffix.
-    pub(crate) fn snapshot(&self) -> SlotSnapshot {
+    pub(crate) fn snapshot(&self, entries: &mut Vec<(BankId, CoreId, u64)>) -> SlotSnapshot {
         debug_assert!(self.busy, "snapshotting an empty slot");
+        let lo = entries.len() as u32;
+        entries.extend(
+            self.bank_stamp
+                .iter()
+                .enumerate()
+                .filter(|&(_, &stamp)| stamp == self.generation)
+                .map(|(bank, _)| (BankId::from_index(bank), self.core, self.bank_inter[bank].0)),
+        );
+        let mid = entries.len() as u32;
+        self.merge.export_into(entries);
         SlotSnapshot {
             task: self.task,
             release: self.release,
             total_inter: self.total_inter,
-            bank_inter: self
-                .bank_stamp
-                .iter()
-                .enumerate()
-                .filter(|&(_, &stamp)| stamp == self.generation)
-                .map(|(bank, _)| (BankId::from_index(bank), self.bank_inter[bank]))
-                .collect(),
-            merge: self.merge.export(),
+            lo,
+            mid,
+            hi: entries.len() as u32,
         }
     }
 
-    /// Re-occupies a fresh slot from a checkpoint snapshot, as if the
-    /// recorded prefix had opened the task and accounted its interferers
-    /// here. Under [`Rule::Grouped`] the group sums are rebuilt from the
-    /// merge entries.
-    pub(crate) fn restore(&mut self, snap: &SlotSnapshot, acct: &Accounting) {
+    /// Re-occupies a fresh slot from `snap`, a slot of `checkpoint`, as
+    /// if the recorded prefix had opened the task and accounted its
+    /// interferers here. Under [`Rule::Grouped`] the group sums are
+    /// rebuilt from the merge entries.
+    pub(crate) fn restore(
+        &mut self,
+        checkpoint: &Checkpoint,
+        snap: &SlotSnapshot,
+        acct: &Accounting,
+    ) {
         self.open(snap.task, snap.release);
         self.total_inter = snap.total_inter;
-        for &(bank, inter) in &snap.bank_inter {
-            self.bank_inter_set(bank, inter);
+        for &(bank, _, inter) in checkpoint.bank_inter(snap) {
+            self.bank_inter_set(bank, Cycles(inter));
         }
-        self.merge.restore(&snap.merge);
+        let merge = checkpoint.merge(snap);
+        self.merge.restore(merge);
         if let Some(groups) = acct.groups.get(self.core.index()) {
-            for &(bank, core, accesses) in &snap.merge {
+            for &(bank, core, accesses) in merge {
                 if let Some((group, _)) = groups.member[core.index()] {
                     self.group_sum_add(groups.len, bank, group, accesses);
                 }

@@ -29,9 +29,20 @@
 //! Recording every cursor step would keep O(steps) snapshots; instead the
 //! log keeps a bounded number of evenly strided checkpoints: it records
 //! every `stride` steps and, when the capacity is reached, doubles the
-//! stride and drops the now-off-stride half. Each snapshot is
-//! O(cores × banks) — independent of the task count — so a log for a
-//! 16-core platform is a few kilobytes regardless of `n`.
+//! stride and drops the now-off-stride half — before building the
+//! snapshot of a step the doubling would drop. Each snapshot is
+//! O(cores × banks) — independent of the task count — and lays its busy
+//! slots' per-bank interference and merge entries out in one flat
+//! buffer, so a log for a 16-core platform is a few kilobytes regardless
+//! of `n`.
+//!
+//! # Sharing
+//!
+//! A resumed run re-records only its suffix: [`CheckpointLog::branch_at`]
+//! shares the checkpoints of the prefix with the log it branches from
+//! (each is an [`Arc`]) instead of copying them.
+
+use std::sync::Arc;
 
 use mia_model::{BankId, CoreId, Cycles, TaskId};
 
@@ -39,6 +50,7 @@ use crate::AnalysisStats;
 
 /// Frozen interference state of one busy alive slot: everything the
 /// driver needs to rebuild the slot mid-run (see `AliveSlot::restore`).
+/// Its entries live in the owning [`Checkpoint`]'s flat buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct SlotSnapshot {
     /// The occupying task.
@@ -47,11 +59,14 @@ pub(crate) struct SlotSnapshot {
     pub(crate) release: Cycles,
     /// Total interference accumulated so far.
     pub(crate) total_inter: Cycles,
-    /// Per-bank interference already charged (current-generation entries).
-    pub(crate) bank_inter: Vec<(BankId, Cycles)>,
-    /// Aggregated interferer demand per (bank, core), in the merge's
-    /// first-touch order (see `DemandMerge::export`).
-    pub(crate) merge: Vec<(BankId, CoreId, u64)>,
+    /// `entries[lo..mid]`: per-bank interference already charged
+    /// (current-generation entries), as `(bank, slot core, cycles)`.
+    /// `entries[mid..hi]`: aggregated interferer demand per
+    /// `(bank, core)`, in the merge's first-touch order (see
+    /// `DemandMerge::export_into`).
+    pub(crate) lo: u32,
+    pub(crate) mid: u32,
+    pub(crate) hi: u32,
 }
 
 /// Driver state at the top of one cursor iteration: enough to re-enter
@@ -75,6 +90,9 @@ pub struct Checkpoint {
     pub(crate) stats: AnalysisStats,
     /// Busy slots at capture time, indexed by core.
     pub(crate) slots: Vec<Option<SlotSnapshot>>,
+    /// The slots' interference and merge entries, back to back (see
+    /// [`SlotSnapshot`]).
+    pub(crate) entries: Vec<(BankId, CoreId, u64)>,
 }
 
 impl Checkpoint {
@@ -102,6 +120,16 @@ impl Checkpoint {
             .iter()
             .all(|&(core, pos)| self.next_idx.get(core).is_some_and(|&idx| pos > idx))
     }
+
+    /// The per-bank interference entries of `slot`.
+    pub(crate) fn bank_inter(&self, slot: &SlotSnapshot) -> &[(BankId, CoreId, u64)] {
+        &self.entries[slot.lo as usize..slot.mid as usize]
+    }
+
+    /// The merge entries of `slot`.
+    pub(crate) fn merge(&self, slot: &SlotSnapshot) -> &[(BankId, CoreId, u64)] {
+        &self.entries[slot.mid as usize..slot.hi as usize]
+    }
 }
 
 /// Default number of checkpoints a log retains before doubling its
@@ -116,7 +144,7 @@ const DEFAULT_CAPACITY: usize = 48;
 pub struct CheckpointLog {
     capacity: usize,
     stride: usize,
-    entries: Vec<Checkpoint>,
+    entries: Vec<Arc<Checkpoint>>,
 }
 
 impl Default for CheckpointLog {
@@ -157,7 +185,7 @@ impl CheckpointLog {
     }
 
     /// The retained checkpoints, ascending by step.
-    pub fn checkpoints(&self) -> &[Checkpoint] {
+    pub fn checkpoints(&self) -> &[Arc<Checkpoint>] {
         &self.entries
     }
 
@@ -165,49 +193,61 @@ impl CheckpointLog {
     /// first touches the given `(core, order position)` pairs, or `None`
     /// when even the step-0 state is invalidated.
     pub fn best_for(&self, changed: &[(usize, usize)]) -> Option<&Checkpoint> {
-        self.entries.iter().rev().find(|c| c.admits(changed))
+        self.entries
+            .iter()
+            .rev()
+            .find(|c| c.admits(changed))
+            .map(|c| &**c)
     }
 
-    /// Clones the log up to (and including) `step`, ready to record the
-    /// resumed suffix on top of the shared prefix.
+    /// The log up to (and including) `step`, ready to record the resumed
+    /// suffix on top of the shared prefix. The prefix's checkpoints are
+    /// shared with `self`, not copied.
     pub fn branch_at(&self, step: usize) -> CheckpointLog {
+        let keep = self.entries.partition_point(|c| c.step <= step);
         CheckpointLog {
             capacity: self.capacity,
             stride: self.stride,
-            entries: self
-                .entries
-                .iter()
-                .filter(|c| c.step <= step)
-                .cloned()
-                .collect(),
+            entries: self.entries[..keep].to_vec(),
         }
     }
 
-    /// True when the driver should bother snapshotting at `step` — the
-    /// cheap pre-check before building a [`Checkpoint`].
-    pub(crate) fn wants(&self, step: usize) -> bool {
-        step.is_multiple_of(self.stride) && self.entries.last().is_none_or(|c| c.step < step)
-    }
-
-    /// Records `checkpoint`, doubling the stride (and dropping the
-    /// off-stride half) whenever the capacity is reached.
-    pub(crate) fn record(&mut self, checkpoint: Checkpoint) {
-        debug_assert!(self.wants(checkpoint.step));
+    /// True when the driver should snapshot at `step`. When the log is
+    /// full this first doubles the stride, dropping the off-stride half,
+    /// so a step the doubling would drop at once is never snapshotted.
+    pub(crate) fn wants(&mut self, step: usize) -> bool {
+        if !step.is_multiple_of(self.stride) || self.entries.last().is_some_and(|c| c.step >= step)
+        {
+            return false;
+        }
         if self.entries.len() == self.capacity {
             self.stride *= 2;
             let stride = self.stride;
             self.entries.retain(|c| c.step.is_multiple_of(stride));
-            if !checkpoint.step.is_multiple_of(stride) {
-                return;
-            }
+            return step.is_multiple_of(stride);
         }
-        self.entries.push(checkpoint);
+        true
+    }
+
+    /// Appends `checkpoint`, whose step [`CheckpointLog::wants`] just
+    /// accepted.
+    pub(crate) fn push(&mut self, checkpoint: Checkpoint) {
+        debug_assert!(self.entries.len() < self.capacity);
+        debug_assert!(checkpoint.step.is_multiple_of(self.stride));
+        self.entries.push(Arc::new(checkpoint));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What the driver does at `checkpoint.step`.
+    fn record(log: &mut CheckpointLog, checkpoint: Checkpoint) {
+        if log.wants(checkpoint.step) {
+            log.push(checkpoint);
+        }
+    }
 
     fn checkpoint(step: usize, next_idx: Vec<usize>) -> Checkpoint {
         Checkpoint {
@@ -217,6 +257,7 @@ mod tests {
             mr_ptr: 0,
             stats: AnalysisStats::default(),
             slots: Vec::new(),
+            entries: Vec::new(),
         }
     }
 
@@ -240,9 +281,9 @@ mod tests {
     #[test]
     fn best_for_prefers_the_latest_admitting_checkpoint() {
         let mut log = CheckpointLog::new();
-        log.record(checkpoint(0, vec![0]));
-        log.record(checkpoint(4, vec![2]));
-        log.record(checkpoint(8, vec![5]));
+        record(&mut log, checkpoint(0, vec![0]));
+        record(&mut log, checkpoint(4, vec![2]));
+        record(&mut log, checkpoint(8, vec![5]));
         assert_eq!(log.best_for(&[(0, 6)]).unwrap().step, 8);
         assert_eq!(log.best_for(&[(0, 4)]).unwrap().step, 4);
         assert_eq!(log.best_for(&[(0, 1)]).unwrap().step, 0);
@@ -254,13 +295,13 @@ mod tests {
         let mut log = CheckpointLog::with_capacity(4);
         for step in 0..4 {
             assert!(log.wants(step));
-            log.record(checkpoint(step, vec![step]));
+            record(&mut log, checkpoint(step, vec![step]));
         }
         assert_eq!(log.len(), 4);
         // The fifth record triggers the doubling: 1,3 are dropped and the
         // new step must itself be on-stride to be kept.
         assert!(log.wants(4));
-        log.record(checkpoint(4, vec![4]));
+        record(&mut log, checkpoint(4, vec![4]));
         let steps: Vec<usize> = log.entries.iter().map(|c| c.step).collect();
         assert_eq!(steps, vec![0, 2, 4]);
         assert_eq!(log.stride, 2);
@@ -269,14 +310,31 @@ mod tests {
     }
 
     #[test]
+    fn a_full_log_is_not_snapshotted_at_a_step_its_doubling_drops() {
+        let mut log = CheckpointLog::with_capacity(4);
+        for step in 0..4 {
+            record(&mut log, checkpoint(step, vec![step]));
+        }
+        // Step 5 is off the doubled stride: the log halves but wants no
+        // snapshot, exactly as recording and dropping it would leave it.
+        assert!(!log.wants(5));
+        let steps: Vec<usize> = log.entries.iter().map(|c| c.step).collect();
+        assert_eq!(steps, vec![0, 2]);
+        assert_eq!(log.stride, 2);
+        assert!(log.wants(6));
+    }
+
+    #[test]
     fn branch_at_keeps_the_shared_prefix_only() {
         let mut log = CheckpointLog::new();
         for step in 0..6 {
-            log.record(checkpoint(step, vec![step]));
+            record(&mut log, checkpoint(step, vec![step]));
         }
-        let branch = log.branch_at(3);
+        let mut branch = log.branch_at(3);
         let steps: Vec<usize> = branch.entries.iter().map(|c| c.step).collect();
         assert_eq!(steps, vec![0, 1, 2, 3]);
+        // The prefix is shared, not copied.
+        assert!(Arc::ptr_eq(&branch.entries[3], &log.entries[3]));
         // The original is untouched.
         assert_eq!(log.len(), 6);
         // The branch keeps recording where the prefix left off.
@@ -286,9 +344,9 @@ mod tests {
     #[test]
     fn clear_resets_the_stride() {
         let mut log = CheckpointLog::with_capacity(2);
-        log.record(checkpoint(0, vec![0]));
-        log.record(checkpoint(1, vec![0]));
-        log.record(checkpoint(2, vec![0]));
+        record(&mut log, checkpoint(0, vec![0]));
+        record(&mut log, checkpoint(1, vec![0]));
+        record(&mut log, checkpoint(2, vec![0]));
         assert_eq!(log.stride, 2);
         log.clear();
         assert!(log.is_empty());

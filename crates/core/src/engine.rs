@@ -8,9 +8,10 @@
 //! set, and advances the cursor to the next finish date or future minimal
 //! release date, found by scanning the alive set (lines 24–28).
 //!
-//! The driver compacts the graph into a [`TaskTable`] (dense WCET and
-//! release columns, CSR successor lists) once per run, so the per-step
-//! loops below never chase `Task` or edge-list pointers.
+//! The driver reads the problem's [`TaskTable`] (dense WCET and release
+//! columns, CSR successor lists, in-degrees and future release dates,
+//! built once with the problem), so neither its set-up nor the per-step
+//! loops below chase `Task` or edge-list pointers.
 //!
 //! The driver is additionally **resumable**: a run may record
 //! [`Checkpoint`]s of its own state into a [`CheckpointLog`], and a
@@ -25,7 +26,7 @@
 //! `mia-baseline` as the independent fixed-point oracle.
 
 use mia_model::arbiter::Arbiter;
-use mia_model::{CoreId, Cycles, Problem, TaskId, TaskTable, TaskTiming};
+use mia_model::{BankId, CoreId, Cycles, Problem, TaskId, TaskTable, TaskTiming};
 
 use crate::alive::{Accounting, AliveSlot};
 use crate::checkpoint::{Checkpoint, CheckpointLog, SlotSnapshot};
@@ -175,23 +176,26 @@ where
             .unwrap_or(Cycles::MAX)
     }
 
-    /// Freezes the interference state of every busy slot for a
-    /// [`Checkpoint`].
-    fn snapshot_slots(&self) -> Vec<Option<SlotSnapshot>> {
+    /// Freezes the interference state of every busy slot into `entries`
+    /// (one flat buffer for the whole [`Checkpoint`]).
+    fn snapshot_slots(
+        &self,
+        entries: &mut Vec<(BankId, CoreId, u64)>,
+    ) -> Vec<Option<SlotSnapshot>> {
         self.slots
             .iter()
-            .map(|s| s.busy.then(|| s.snapshot()))
+            .map(|s| s.busy.then(|| s.snapshot(entries)))
             .collect()
     }
 
     /// Re-occupies the slots from a checkpoint, as if the recorded prefix
     /// had just been executed. Called once, before the loop, on a fresh
     /// engine.
-    fn restore_slots(&mut self, slots: &[Option<SlotSnapshot>]) {
-        debug_assert_eq!(slots.len(), self.slots.len());
-        for (slot, snap) in self.slots.iter_mut().zip(slots) {
+    fn restore_slots(&mut self, checkpoint: &Checkpoint) {
+        debug_assert_eq!(checkpoint.slots.len(), self.slots.len());
+        for (slot, snap) in self.slots.iter_mut().zip(&checkpoint.slots) {
             if let Some(snap) = snap {
-                slot.restore(snap, &self.acct);
+                slot.restore(checkpoint, snap, &self.acct);
             }
         }
     }
@@ -255,24 +259,16 @@ where
     let prof = mia_obs::enabled().then(DriveProfile::new);
     let _run_span = mia_obs::span("analysis.run");
 
-    // Compact the graph into dense columns once: the loops below touch
-    // only WCETs, release dates and successor lists, and at 10⁶ tasks the
-    // `Task`/edge-list indirection of the full graph dominates them.
-    let table = {
-        let _span = mia_obs::span("core.task_table");
-        TaskTable::new(graph)
-    };
+    // The loops below touch only WCETs, release dates and successor
+    // lists, and at 10⁶ tasks the `Task`/edge-list indirection of the
+    // full graph would dominate them.
+    let table = problem.table();
 
     let mut stats = AnalysisStats::default();
     let mut timings: Vec<Option<TaskTiming>> = vec![None; n];
 
-    // Remaining unfinished dependencies per task (`τ.deps`), compacted to
-    // u32 (an in-degree cannot exceed the u32 edge capacity asserted by
-    // the table).
-    let mut pending: Vec<u32> = graph
-        .task_ids()
-        .map(|t| graph.in_degree(t) as u32)
-        .collect();
+    // Remaining unfinished dependencies per task (`τ.deps`).
+    let mut pending: Vec<u32> = table.in_degrees().to_vec();
     // Next position in each core's execution order (`S_k`, as an index
     // rather than a stack so the mapping stays borrowed immutably).
     let mut next_idx: Vec<usize> = vec![0; cores];
@@ -281,14 +277,8 @@ where
 
     // Future minimal release dates, ascending (cursor jump targets).
     // Tasks releasable at t = 0 can never be a *future* jump target — the
-    // cursor starts there — so only positive dates are kept (typically a
-    // tiny minority, which keeps this sort out of the 10⁶-task profile).
-    let mut min_rels: Vec<(Cycles, TaskId)> = graph
-        .iter()
-        .filter(|(_, t)| t.min_release() > Cycles::ZERO)
-        .map(|(id, t)| (t.min_release(), id))
-        .collect();
-    min_rels.sort();
+    // cursor starts there — so the table keeps only positive dates.
+    let min_rels = table.future_releases();
     let mut mr_ptr = 0usize;
     let mut is_open = vec![false; n];
 
@@ -310,7 +300,7 @@ where
             stats = checkpoint.stats;
             next_idx.copy_from_slice(&checkpoint.next_idx);
             mr_ptr = checkpoint.mr_ptr;
-            engine.restore_slots(&checkpoint.slots);
+            engine.restore_slots(checkpoint);
             // Tasks alive at the checkpoint: opened but not yet closed.
             let mut alive = vec![false; n];
             for snap in checkpoint.slots.iter().flatten() {
@@ -346,13 +336,19 @@ where
         if let Some(log) = recorder.as_deref_mut() {
             if log.wants(stats.cursor_steps) {
                 let started = DriveProfile::begin(prof.as_ref());
-                log.record(Checkpoint {
+                // Sized like the last snapshot: consecutive ones hold
+                // about as many entries.
+                let mut entries =
+                    Vec::with_capacity(log.checkpoints().last().map_or(0, |c| c.entries.len()));
+                let slots = engine.snapshot_slots(&mut entries);
+                log.push(Checkpoint {
                     step: stats.cursor_steps,
                     t,
                     next_idx: next_idx.clone(),
                     mr_ptr,
                     stats,
-                    slots: engine.snapshot_slots(),
+                    slots,
+                    entries,
                 });
                 if let Some(p) = prof.as_ref() {
                     p.end("analysis.checkpoint_write", &p.checkpoint_write, started);
@@ -465,7 +461,7 @@ where
         // t ← min(next alive finish, next future minimal release)
         // (lines 24–29).
         let advance_started = DriveProfile::begin(prof.as_ref());
-        let mut t_next = engine.next_finish(&table, t);
+        let mut t_next = engine.next_finish(table, t);
         while let Some(&(mr, task)) = min_rels.get(mr_ptr) {
             if is_open[task.index()] || mr <= t {
                 mr_ptr += 1;

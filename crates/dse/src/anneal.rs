@@ -220,8 +220,9 @@ pub(crate) fn run_chain<O: Objective>(
 ) -> Result<ChainOutcome, DseError> {
     let mut rng = StdRng::seed_from_u64(rng_seed);
     evaluator.begin(seed_candidate)?;
-    let graph = evaluator.space().seed_problem().graph();
-    let guide = MoveGuide::new(graph);
+    let seed_problem = evaluator.space().seed_problem();
+    let graph = seed_problem.graph();
+    let guide = MoveGuide::new(seed_problem.table());
     let mut current = seed_candidate.clone();
     let mut current_cost = seed_cost;
     let mut best = seed_candidate.clone();
@@ -293,8 +294,9 @@ pub(crate) fn run_pareto_chain<O: Objective>(
 ) -> Result<ChainOutcome, DseError> {
     let mut rng = StdRng::seed_from_u64(rng_seed);
     evaluator.begin(seed_candidate)?;
-    let graph = evaluator.space().seed_problem().graph();
-    let guide = MoveGuide::new(graph);
+    let seed_problem = evaluator.space().seed_problem();
+    let graph = seed_problem.graph();
+    let guide = MoveGuide::new(seed_problem.table());
     let mut archive = ParetoArchive::new(setup.mask, setup.capacity);
     archive.insert(point_of(seed_candidate, seed_obj));
 

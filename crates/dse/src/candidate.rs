@@ -3,7 +3,10 @@
 use rand::rngs::StdRng;
 use rand::RngExt;
 
-use mia_model::{BankPolicy, Mapping, ModelError, TaskGraph, TaskId};
+use mia_model::{
+    BankId, BankPlacement, BankPolicy, CoreId, Mapping, ModelError, Move, Problem, TaskGraph,
+    TaskId, TaskTable,
+};
 
 /// A canonical 128-bit hash of a candidate's design, used as the
 /// memo-cache key of [`Evaluator`](crate::Evaluator).
@@ -59,7 +62,7 @@ fn tail_biased(rng: &mut StdRng, n: usize) -> usize {
 ///
 /// Seeds whose orders are *not* rank-sorted (hand-written JSON
 /// mappings) degrade gracefully: the windows become heuristic and the
-/// evaluator's remap validation stays the authority.
+/// acyclicity check of [`Problem::apply_move`] stays the authority.
 #[derive(Debug, Clone)]
 pub struct MoveGuide {
     /// Longest-path layer per task, indexed by task id.
@@ -71,30 +74,11 @@ pub struct MoveGuide {
 }
 
 impl MoveGuide {
-    /// Computes the ranks of `graph` (O(tasks + edges), once per chain).
-    pub fn new(graph: &TaskGraph) -> Self {
-        let n = graph.len();
-        let mut ranks = vec![0u32; n];
-        let mut indegree: Vec<usize> = (0..n)
-            .map(|i| graph.in_degree(TaskId::from_index(i)))
-            .collect();
-        let mut queue: Vec<TaskId> = (0..n)
-            .map(TaskId::from_index)
-            .filter(|&t| indegree[t.index()] == 0)
-            .collect();
-        let mut head = 0;
-        while head < queue.len() {
-            let t = queue[head];
-            head += 1;
-            for e in graph.successors(t) {
-                let d = e.dst.index();
-                ranks[d] = ranks[d].max(ranks[t.index()] + 1);
-                indegree[d] -= 1;
-                if indegree[d] == 0 {
-                    queue.push(e.dst);
-                }
-            }
-        }
+    /// Reads the ranks of `table` ([`TaskTable::rank`]) and sorts the
+    /// tasks by them (O(tasks log tasks), once per chain).
+    pub fn new(table: &TaskTable) -> Self {
+        let n = table.len();
+        let ranks: Vec<u32> = (0..n).map(|i| table.rank(TaskId::from_index(i))).collect();
         let mut by_rank: Vec<TaskId> = (0..n).map(TaskId::from_index).collect();
         by_rank.sort_by_key(|&t| (ranks[t.index()], t.index()));
         let max_rank = ranks.iter().copied().max().unwrap_or(0) as usize;
@@ -322,6 +306,44 @@ impl Candidate {
     /// The core a task is currently assigned to.
     pub fn core_of(&self, task: TaskId) -> usize {
         self.assignment[task.index()] as usize
+    }
+
+    /// Where this design puts each task's memory: its explicit banks
+    /// when a bank move materialised them, `policy` otherwise.
+    pub fn placement(&self, policy: BankPolicy) -> BankPlacement {
+        match &self.banks {
+            Some(banks) => BankPlacement::Explicit(banks.iter().map(|&b| BankId(b)).collect()),
+            None => BankPlacement::Policy(policy),
+        }
+    }
+
+    /// The [`Move`] that takes `problem` to this design under `policy`
+    /// (see [`Candidate::placement`]): the orders of the cores where the
+    /// two differ — one or two cores after a move operator — and the
+    /// placement when it differs. [`Problem::apply_move`] then patches
+    /// only what the move changed. The comparison itself is a linear scan
+    /// of the orders and banks, with no allocation beyond the move.
+    pub fn move_from(&self, problem: &Problem, policy: BankPolicy) -> Move {
+        let mapping = problem.mapping();
+        let cores = self.cores().max(mapping.cores());
+        let orders = (0..cores)
+            .filter_map(|c| {
+                let mine = self.orders.get(c).map_or(&[][..], Vec::as_slice);
+                let core = CoreId::from_index(c);
+                (mine != mapping.order(core)).then(|| (core, mine.to_vec()))
+            })
+            .collect();
+        let unchanged = match (&self.banks, problem.placement()) {
+            (None, Some(BankPlacement::Policy(p))) => *p == policy,
+            (Some(mine), Some(BankPlacement::Explicit(theirs))) => {
+                mine.len() == theirs.len() && mine.iter().zip(theirs).all(|(&a, b)| a == b.0)
+            }
+            _ => false,
+        };
+        Move {
+            orders,
+            placement: (!unchanged).then(|| self.placement(policy)),
+        }
     }
 
     /// Materialises the candidate as a validated [`Mapping`].
@@ -686,7 +708,7 @@ impl Candidate {
     /// producer/consumer pairs (the current order is feasible, so only
     /// the left-to-right edge can exist; swapping it would deadlock the
     /// core). Cross-rank reorders can still be multi-hop infeasible;
-    /// remap validation catches those cheaply.
+    /// the acyclicity check of [`Problem::apply_move`] catches those.
     fn guided_reorder(&mut self, graph: &TaskGraph, _guide: &MoveGuide, rng: &mut StdRng) -> Undo {
         for _ in 0..GUIDED_ATTEMPTS {
             let start = rng.random_range(0..self.cores());
@@ -716,8 +738,9 @@ impl Candidate {
     ///
     /// Like every proposal operator this never panics on degenerate
     /// seeds (including orders that are not rank-sorted): a draw that
-    /// cannot be applied returns [`Undo::Noop`] and the evaluator's
-    /// remap validation stays the authority on feasibility.
+    /// cannot be applied returns [`Undo::Noop`] and the acyclicity
+    /// check of [`Problem::apply_move`] stays the authority on
+    /// feasibility.
     pub fn propose_joint(
         &mut self,
         graph: &TaskGraph,
@@ -1065,7 +1088,7 @@ mod tests {
     #[test]
     fn move_guide_ranks_are_longest_path_layers() {
         let g = chained_graph();
-        let guide = MoveGuide::new(&g);
+        let guide = MoveGuide::new(&TaskTable::new(&g));
         for (task, rank) in [(0, 0), (1, 1), (2, 2), (3, 0), (4, 1), (5, 2)] {
             assert_eq!(guide.rank(TaskId(task)), rank, "task {task}");
         }
@@ -1077,7 +1100,7 @@ mod tests {
     fn guided_moves_round_trip_and_respect_direct_dependencies() {
         let g = chained_graph();
         let m = Mapping::from_assignment(&g, &[0, 0, 0, 1, 1, 1]).unwrap();
-        let guide = MoveGuide::new(&g);
+        let guide = MoveGuide::new(&TaskTable::new(&g));
         let mut c = Candidate::from_mapping(&m, 3);
         let mut rng = StdRng::seed_from_u64(11);
         let mut seen = [false; 3];
@@ -1144,7 +1167,7 @@ mod tests {
     fn every_joint_move_round_trips_through_its_undo() {
         let g = chained_graph();
         let m = Mapping::from_assignment(&g, &[0, 0, 0, 1, 1, 1]).unwrap();
-        let guide = MoveGuide::new(&g);
+        let guide = MoveGuide::new(&TaskTable::new(&g));
         let axes = joint_axes();
         let mut c = Candidate::from_mapping(&m, 4);
         let mut rng = StdRng::seed_from_u64(13);
@@ -1246,7 +1269,7 @@ mod tests {
             }
         }
         assert_eq!(c.active_cores(), 3);
-        let guide = MoveGuide::new(&g);
+        let guide = MoveGuide::new(&TaskTable::new(&g));
         for _ in 0..400 {
             let undo = c.guided_migrate(&g, &guide, &mut rng);
             assert!(
@@ -1272,7 +1295,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let guide = MoveGuide::new(&g);
+        let guide = MoveGuide::new(&TaskTable::new(&g));
         let axes = joint_axes();
         let mut c = Candidate::from_mapping(&m, 2);
         let mut rng = StdRng::seed_from_u64(99);

@@ -1,9 +1,9 @@
-//! The evaluation hot loop: remap, memoise, analyze.
+//! The evaluation hot loop: patch, memoise, analyze.
 
 use std::collections::HashMap;
 
 use mia_core::AnalysisOptions;
-use mia_model::{BankId, BankPolicy, Cycles, Problem};
+use mia_model::{BankPolicy, Cycles, Problem, Revert};
 
 use crate::{Candidate, CandidateKey, DseError, MoveVerdict, ObjVec, Objective, ObjectiveError};
 
@@ -166,14 +166,22 @@ enum Cached {
 /// canonical mapping key.
 ///
 /// The evaluator owns **one** working [`Problem`] — a single clone of
-/// the seed made at construction — and swaps candidate mappings into it
-/// with [`Problem::remap`], so the task graph is never cloned again for
-/// the thousands of evaluations of a search. Rejected moves that are
-/// re-proposed later (a common annealing pattern) hit the memo cache and
-/// skip the analysis entirely.
+/// the seed made at construction — and patches each candidate into it
+/// with [`Problem::apply_move`]: the move a candidate differs by
+/// ([`Candidate::move_from`]) touches one or two core orders and a few
+/// demand vectors, and that is all the patch costs. The revert token is
+/// kept until the caller accepts the candidate; a rejected candidate is
+/// reverted before the next one is patched in. Only re-establishing a
+/// design outright ([`Evaluator::begin`], or accepting a cost the memo
+/// cache served) rebuilds the problem with [`Problem::remap`]. Rejected
+/// moves that are re-proposed later (a common annealing pattern) hit the
+/// memo cache and skip the analysis entirely.
 pub struct Evaluator<'s, O> {
     space: &'s SearchSpace,
     problem: Problem,
+    /// Reverts the last candidate patched into `problem`, until an
+    /// accept commits it.
+    pending: Option<Revert>,
     objective: O,
     cache: HashMap<CandidateKey, Cached>,
     stats: EvalStats,
@@ -192,6 +200,7 @@ impl<'s, O: Objective> Evaluator<'s, O> {
         Evaluator {
             space,
             problem: space.seed.clone(),
+            pending: None,
             objective,
             cache: HashMap::new(),
             stats: EvalStats::default(),
@@ -270,17 +279,7 @@ impl<'s, O: Objective> Evaluator<'s, O> {
     }
 
     fn evaluate_uncached(&mut self, candidate: &Candidate) -> Result<Option<ObjVec>, DseError> {
-        let graph = self.space.seed.graph();
-        let validate_started = EvalProfile::begin(self.prof.as_ref());
-        let Ok(mapping) = candidate.to_mapping(graph) else {
-            // Hand-built candidates only; move operators conserve tasks.
-            return Ok(None);
-        };
-        let remapped = self.remap_to(candidate, mapping);
-        if let Some(p) = &self.prof {
-            EvalProfile::end(&p.validate, Some("dse.validate"), validate_started);
-        }
-        if remapped.is_err() {
+        if self.patch_in(candidate).is_err() {
             // A cross-core ordering cycle: the candidate cannot execute.
             return Ok(None);
         }
@@ -302,18 +301,40 @@ impl<'s, O: Objective> Evaluator<'s, O> {
         }
     }
 
-    /// Swaps `mapping` into the working problem, honouring the
-    /// candidate's explicit bank placement when it carries one (joint
-    /// bank moves) and the space's policy otherwise.
-    fn remap_to(&mut self, candidate: &Candidate, mapping: mia_model::Mapping) -> Result<(), ()> {
-        match candidate.banks() {
-            Some(banks) => {
-                let banks: Vec<BankId> = banks.iter().map(|&b| BankId(b)).collect();
-                self.problem.remap_with_banks(mapping, &banks)
-            }
-            None => self.problem.remap(mapping, self.space.policy),
+    /// Makes the working problem describe `candidate` by a patch: the
+    /// last unaccepted candidate is reverted, then the move between the
+    /// two is applied and its revert token kept. The explicit bank
+    /// placement of joint bank moves is honoured, the space's policy
+    /// applies otherwise. Timed as `dse.validate`. On error (an invalid
+    /// or cyclic design) the problem is left at the last accepted one.
+    fn patch_in(&mut self, candidate: &Candidate) -> Result<(), ()> {
+        let started = EvalProfile::begin(self.prof.as_ref());
+        if let Some(revert) = self.pending.take() {
+            self.problem.revert(revert);
         }
-        .map_err(|_| ())
+        let patched = if candidate.cores() == self.problem.mapping().cores() {
+            let mv = candidate.move_from(&self.problem, self.space.policy);
+            self.problem
+                .apply_move(mv)
+                .map(|revert| self.pending = Some(revert))
+        } else {
+            // The working problem still has the seed's core count (no
+            // design was established yet): rebuild it once.
+            self.rebuild(candidate)
+        };
+        if let Some(p) = &self.prof {
+            EvalProfile::end(&p.validate, Some("dse.validate"), started);
+        }
+        patched.map_err(drop)
+    }
+
+    /// Rebuilds the working problem for `candidate` from scratch with
+    /// [`Problem::remap`]; any pending revert is void afterwards.
+    fn rebuild(&mut self, candidate: &Candidate) -> Result<(), mia_model::ModelError> {
+        self.pending = None;
+        let mapping = candidate.to_mapping(self.space.seed.graph())?;
+        self.problem
+            .remap(mapping, candidate.placement(self.space.policy))
     }
 
     /// The objective vector of `candidate` knowing it differs from the
@@ -367,20 +388,9 @@ impl<'s, O: Objective> Evaluator<'s, O> {
             }
             Some(Cached::AboveBound(_)) | None => {}
         }
-        let graph = self.space.seed.graph();
-        let validate_started = EvalProfile::begin(self.prof.as_ref());
-        let Ok(mapping) = candidate.to_mapping(graph) else {
-            // Hand-built candidates only; move operators conserve tasks.
-            self.stats.infeasible += 1;
-            self.cache.insert(key, Cached::Infeasible);
-            return Ok(None);
-        };
-        let remapped = self.remap_to(candidate, mapping);
-        if let Some(p) = &self.prof {
-            EvalProfile::end(&p.validate, Some("dse.validate"), validate_started);
-        }
-        if remapped.is_err() {
-            // A cross-core ordering cycle: the candidate cannot execute.
+        if self.patch_in(candidate).is_err() {
+            // A cross-core ordering cycle (or, for hand-built candidates,
+            // a design that loses a task): the candidate cannot execute.
             self.stats.infeasible += 1;
             self.cache.insert(key, Cached::Infeasible);
             return Ok(None);
@@ -441,6 +451,8 @@ impl<'s, O: Objective> Evaluator<'s, O> {
     /// rebuilding.
     pub fn accept_last(&mut self, candidate: &Candidate) -> Result<(), DseError> {
         if self.scratch_key.take() == Some(candidate.key()) {
+            // The working problem already describes the candidate.
+            self.pending = None;
             self.objective.promote();
             return Ok(());
         }
@@ -448,18 +460,13 @@ impl<'s, O: Objective> Evaluator<'s, O> {
         self.rebase(candidate)
     }
 
-    /// Remaps the working problem to `candidate` and re-establishes the
-    /// objective's delta base there.
+    /// Rebuilds the working problem for `candidate` and re-establishes
+    /// the objective's delta base there.
     fn rebase(&mut self, candidate: &Candidate) -> Result<(), DseError> {
         self.objective.invalidate();
-        let graph = self.space.seed.graph();
-        let Ok(mapping) = candidate.to_mapping(graph) else {
+        if self.rebuild(candidate).is_err() {
             // Unreachable for accepted candidates (they validated once
             // already): leave the objective without a base.
-            self.objective.promote();
-            return Ok(());
-        };
-        if self.remap_to(candidate, mapping).is_err() {
             self.objective.promote();
             return Ok(());
         }
@@ -588,7 +595,7 @@ mod tests {
         // scratch.
         let mut reference =
             Evaluator::new(&space, AnalyzedMakespan::new(&rr, AnalysisOptions::new()));
-        let guide = crate::MoveGuide::new(graph);
+        let guide = crate::MoveGuide::new(space.seed_problem().table());
         let mut moved = seed.clone();
         let mut rng = StdRng::seed_from_u64(17);
         let undo = moved.propose_guided(graph, &guide, &mut rng);
@@ -663,7 +670,7 @@ mod tests {
 
         // Pile every task onto bank 0: the same mapping, a different
         // (worse or equal) bank profile — and a different memo key.
-        let guide = crate::MoveGuide::new(space.seed_problem().graph());
+        let guide = crate::MoveGuide::new(space.seed_problem().table());
         let axes = crate::JointAxes {
             arbiters: 1,
             banks: 4,

@@ -110,6 +110,19 @@ pub struct OptimizeRun {
     pub front: Vec<FrontRow>,
 }
 
+impl OptimizeRun {
+    /// The makespan change in percent, as the one-line summaries print
+    /// it: negative when the search improved on the seed, and `+0.00`,
+    /// never `-0.00`, when it did not.
+    pub fn makespan_change_pct(&self) -> f64 {
+        if self.improvement_pct == 0.0 {
+            0.0
+        } else {
+            -self.improvement_pct
+        }
+    }
+}
+
 /// A batch of runs plus the knobs they shared — serialized as one JSON
 /// document (`BENCH_dse.json`).
 #[derive(Debug, Clone, Serialize)]
@@ -370,6 +383,14 @@ mod tests {
         ] {
             assert!(json.contains(field), "missing {field}: {json}");
         }
+    }
+
+    #[test]
+    fn an_unimproved_run_prints_a_positive_zero_change() {
+        let mut run = sample().runs.remove(0);
+        assert_eq!(format!("{:+.2}%", run.makespan_change_pct()), "-10.00%");
+        run.improvement_pct = 0.0;
+        assert_eq!(format!("{:+.2}%", run.makespan_change_pct()), "+0.00%");
     }
 
     #[test]

@@ -12,15 +12,19 @@ use mia_core::{analyze, AnalysisOptions};
 use mia_dag_gen::{Family, LayeredDag};
 use mia_dse::{
     optimize, AnalyzedMakespan, Candidate, CandidateKey, DseConfig, DseResult, Evaluator,
-    MoveGuide, ObjMask, ObjVec, ParetoArchive, ParetoConfig, ParetoPoint, SearchSpace, Strategy,
+    JointAxes, MoveGuide, ObjMask, ObjVec, ParetoArchive, ParetoConfig, ParetoPoint, SearchSpace,
+    Strategy,
 };
-use mia_model::{arbiter::Arbiter, BankPolicy, Platform, Problem};
+use mia_model::{
+    arbiter::Arbiter, BankPolicy, Mapping, ModelError, Platform, Problem, TaskGraph, TaskId,
+};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 // `mia_dse::Strategy` shadows the prelude's trait of the same name;
 // re-import it anonymously so `prop_map` stays callable.
 use proptest::strategy::Strategy as _;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 
 fn generated_space(layers: usize, n: usize, gen_seed: u64, cores: usize) -> SearchSpace {
     let mut config = Family::FixedLayers(layers).config(n, gen_seed);
@@ -30,6 +34,144 @@ fn generated_space(layers: usize, n: usize, gen_seed: u64, cores: usize) -> Sear
         .into_problem(&Platform::new(cores, cores))
         .expect("generated workloads validate");
     SearchSpace::new(problem, BankPolicy::PerCoreBank)
+}
+
+/// The combined precedence order as `Problem` computed it before the
+/// order moved to `mia-baseline`: smallest id first among the ready
+/// tasks, or the lowest-id task left with a positive in-degree on a
+/// cycle. Kept verbatim as the oracle of both.
+fn reference_combined_order(
+    graph: &TaskGraph,
+    mapping: &Mapping,
+) -> Result<Vec<TaskId>, ModelError> {
+    let n = graph.len();
+    let mut indegree = vec![0usize; n];
+    for e in graph.edges() {
+        indegree[e.dst.index()] += 1;
+    }
+    for (_, order) in mapping.iter() {
+        for pair in order.windows(2) {
+            indegree[pair[1].index()] += 1;
+        }
+    }
+    let mut core_next: Vec<Option<TaskId>> = vec![None; n];
+    for (_, order) in mapping.iter() {
+        for pair in order.windows(2) {
+            core_next[pair[0].index()] = Some(pair[1]);
+        }
+    }
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    let mut ready: BinaryHeap<Reverse<TaskId>> = (0..n)
+        .map(TaskId::from_index)
+        .filter(|t| indegree[t.index()] == 0)
+        .map(Reverse)
+        .collect();
+    let mut out = Vec::with_capacity(n);
+    while let Some(Reverse(t)) = ready.pop() {
+        out.push(t);
+        let succs: Vec<TaskId> = graph
+            .successors(t)
+            .map(|e| e.dst)
+            .chain(core_next[t.index()])
+            .collect();
+        for succ in succs {
+            indegree[succ.index()] -= 1;
+            if indegree[succ.index()] == 0 {
+                ready.push(Reverse(succ));
+            }
+        }
+    }
+    if out.len() != n {
+        let culprit = (0..n)
+            .map(TaskId::from_index)
+            .find(|t| indegree[t.index()] > 0)
+            .expect("cycle implies remaining in-degree");
+        return Err(ModelError::Cycle(culprit));
+    }
+    Ok(out)
+}
+
+/// What the evaluator's working problem must equal for `candidate`: the
+/// seed problem rebuilt from scratch.
+fn remapped(space: &SearchSpace, candidate: &Candidate) -> Result<Problem, ModelError> {
+    let mut fresh = space.seed_problem().clone();
+    let mapping = candidate.to_mapping(fresh.graph())?;
+    fresh.remap(mapping, candidate.placement(space.policy()))?;
+    Ok(fresh)
+}
+
+/// One random walk of `steps` moves — unguided, guided and joint
+/// (bank remaps and arbiter switches included), drawn in turn — patched
+/// into a working problem with `Problem::apply_move`. After every apply
+/// and every revert the problem must equal a fresh remap of the same
+/// candidate, a cyclic candidate must be refused with the remap's error
+/// and leave the problem as it was, and `mia-baseline`'s combined order
+/// must match the reference. A kept move stays applied (the next one
+/// patches on top of it); a dropped one is reverted. Returns how many
+/// cyclic candidates the walk met.
+fn apply_move_walk(
+    space: &SearchSpace,
+    walk_seed: u64,
+    steps: usize,
+) -> Result<usize, TestCaseError> {
+    let graph = space.seed_problem().graph();
+    let policy = space.policy();
+    let guide = MoveGuide::new(space.seed_problem().table());
+    let axes = JointAxes {
+        arbiters: 2,
+        banks: space.seed_problem().platform().banks() as u32,
+        policy,
+        resize_cores: true,
+        remap_banks: true,
+    };
+    let mut current = Candidate::from_mapping(space.seed_problem().mapping(), space.cores());
+    let mut problem = remapped(space, &current).expect("the seed is feasible");
+    let mut rng = StdRng::seed_from_u64(walk_seed);
+    let mut cycles = 0;
+    for step in 0..steps {
+        let undo = match step % 3 {
+            0 => current.propose(&mut rng),
+            1 => current.propose_guided(graph, &guide, &mut rng),
+            _ => current.propose_joint(graph, &guide, &axes, &mut rng),
+        };
+        let before = problem.clone();
+        let applied = problem.apply_move(current.move_from(&problem, policy));
+        match (applied, remapped(space, &current)) {
+            (Ok(revert), Ok(fresh)) => {
+                prop_assert_eq!(&problem, &fresh, "step {} ({:?})", step, undo);
+                prop_assert_eq!(
+                    mia_baseline::combined_order(&problem),
+                    reference_combined_order(graph, problem.mapping()).unwrap()
+                );
+                if rng.random_bool(0.5) {
+                    problem.revert(revert);
+                    current.undo(undo);
+                    prop_assert_eq!(&problem, &before, "revert of step {}", step);
+                    prop_assert_eq!(&problem, &remapped(space, &current).unwrap());
+                }
+            }
+            (Err(got), Err(expected)) => {
+                prop_assert_eq!(&got, &expected, "step {}", step);
+                prop_assert_eq!(
+                    Err(got),
+                    reference_combined_order(graph, &current.to_mapping(graph).unwrap())
+                );
+                prop_assert_eq!(&problem, &before, "refused step {}", step);
+                cycles += 1;
+                current.undo(undo);
+            }
+            (got, expected) => prop_assert!(
+                false,
+                "step {} ({:?}): apply_move gave {:?}, remap gave {:?}",
+                step,
+                undo,
+                got.map(drop),
+                expected.map(drop)
+            ),
+        }
+    }
+    Ok(cycles)
 }
 
 fn analyzed_makespan(problem: &Problem, arbiter: &(dyn Arbiter + Send + Sync)) -> u64 {
@@ -120,7 +262,7 @@ proptest! {
         let mut delta = Evaluator::new(&space, AnalyzedMakespan::new(&rr, AnalysisOptions::new()));
         let mut full = Evaluator::new(&space, AnalyzedMakespan::new(&rr, AnalysisOptions::new()));
         let graph = space.seed_problem().graph();
-        let guide = MoveGuide::new(graph);
+        let guide = MoveGuide::new(space.seed_problem().table());
         let mut current = Candidate::from_mapping(space.seed_problem().mapping(), space.cores());
         delta.begin(&current).unwrap();
         let mut rng = StdRng::seed_from_u64(walk_seed);
@@ -139,6 +281,36 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Contract 5: patching a move in place is invisible. See
+    /// [`apply_move_walk`].
+    #[test]
+    fn apply_move_matches_a_fresh_remap_on_random_walks(
+        n in 12usize..40,
+        gen_seed in 0u64..500,
+        walk_seed in 0u64..500,
+        single_bank in any::<bool>(),
+    ) {
+        let mut space = generated_space(3, n, gen_seed, 4);
+        if single_bank {
+            space = SearchSpace::new(space.seed_problem().clone(), BankPolicy::SingleBank);
+        }
+        apply_move_walk(&space, walk_seed, 45)?;
+    }
+}
+
+/// The walks above do meet cyclic candidates (unguided moves create
+/// them), so the refusal path is exercised, not just reachable.
+#[test]
+fn apply_move_walks_meet_cyclic_candidates() {
+    let cycles: usize = (0..6)
+        .map(|seed| apply_move_walk(&generated_space(3, 24, seed, 4), seed, 45).unwrap())
+        .sum();
+    assert!(cycles > 0, "no walk met a cyclic candidate");
 }
 
 /// A random archive point over a small objective lattice (small ranges

@@ -274,8 +274,15 @@ mod tests {
     fn earliest_finish_respects_dependencies() {
         let g = layered_graph();
         let m = earliest_finish(&g, 2).unwrap();
+        // Problem::new rejects a combined dependency ∪ core-order cycle.
         let p = Problem::new(g, m, Platform::new(2, 2)).unwrap();
-        assert_eq!(p.combined_order().len(), 6);
+        assert_eq!(p.len(), 6);
+        for e in p.graph().edges() {
+            let (src, dst) = (p.mapping().core_of(e.src), p.mapping().core_of(e.dst));
+            if src == dst {
+                assert!(p.mapping().position_on_core(e.src) < p.mapping().position_on_core(e.dst));
+            }
+        }
     }
 
     #[test]

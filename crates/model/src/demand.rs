@@ -5,7 +5,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{BankId, CoreId, Mapping, ModelError, Platform, TaskGraph};
+use crate::{BankId, CoreId, Mapping, ModelError, Platform, TaskGraph, TaskId};
 
 /// The number of memory accesses a task issues to each bank.
 ///
@@ -61,6 +61,31 @@ impl BankDemand {
             Ok(i) => self.counts[i].1 += accesses,
             Err(i) => self.counts.insert(i, (bank, accesses)),
         }
+    }
+
+    /// Moves `accesses` of the demand on `from` to `to`, dropping an
+    /// entry that reaches zero: the exact inverse of another `shift`
+    /// with the banks exchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` holds fewer than `accesses`.
+    pub(crate) fn shift(&mut self, from: BankId, to: BankId, accesses: u64) {
+        if accesses == 0 || from == to {
+            return;
+        }
+        let i = self
+            .counts
+            .binary_search_by_key(&from, |&(b, _)| b)
+            .expect("shifted accesses exist");
+        self.counts[i].1 = self.counts[i]
+            .1
+            .checked_sub(accesses)
+            .expect("shifted accesses exist");
+        if self.counts[i].1 == 0 {
+            self.counts.remove(i);
+        }
+        self.add(to, accesses);
     }
 
     /// Merges another demand vector into this one.
@@ -165,8 +190,101 @@ pub enum BankPolicy {
     SingleBank,
 }
 
+/// Where each task's memory accesses land. A task has one *home* bank:
+/// it receives the task's private accesses and the reads of every edge
+/// the task consumes, and each producer writes into its consumer's home
+/// bank — the data lives where the consumer reads it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BankPlacement {
+    /// The home bank follows the task's core, by a policy.
+    Policy(BankPolicy),
+    /// An explicit home bank per task, indexed by task id: memory
+    /// placement decoupled from core placement, so a search can remap
+    /// tasks to banks as a design variable. The homes
+    /// `core_of(t) % banks` give exactly [`BankPolicy::PerCoreBank`].
+    Explicit(Vec<BankId>),
+}
+
+impl BankPlacement {
+    /// The home bank of `task` when it runs on `core`, on a platform
+    /// with `banks` banks.
+    pub(crate) fn home(&self, task: TaskId, core: CoreId, banks: usize) -> BankId {
+        match self {
+            BankPlacement::Policy(BankPolicy::PerCoreBank) => BankId(core.0 % banks as u32),
+            BankPlacement::Policy(BankPolicy::SingleBank) => BankId(0),
+            BankPlacement::Explicit(homes) => homes[task.index()],
+        }
+    }
+
+    /// Checks that an explicit placement gives each of `tasks` tasks a
+    /// home among the platform's banks; a policy always does.
+    pub(crate) fn validate(&self, tasks: usize, platform: &Platform) -> Result<(), ModelError> {
+        if let BankPlacement::Explicit(homes) = self {
+            if homes.len() != tasks {
+                return Err(ModelError::LengthMismatch {
+                    expected: tasks,
+                    found: homes.len(),
+                });
+            }
+            if let Some(&bank) = homes.iter().find(|b| b.index() >= platform.banks()) {
+                return Err(ModelError::UnknownBank(bank));
+            }
+        }
+        Ok(())
+    }
+
+    /// The demand vector of `task` under `mapping`: its private accesses
+    /// and the reads of the edges it consumes in its own home bank, the
+    /// writes of the edges it produces in each consumer's home bank.
+    pub(crate) fn demand_of(
+        &self,
+        graph: &TaskGraph,
+        mapping: &Mapping,
+        platform: &Platform,
+        task: TaskId,
+    ) -> BankDemand {
+        let home = |t: TaskId| self.home(t, mapping.core_of(t), platform.banks());
+        let own = home(task);
+        let mut demand = BankDemand::new();
+        for (_, n) in graph.task(task).private_demand().iter() {
+            demand.add(own, n);
+        }
+        for e in graph.successors(task) {
+            demand.add(home(e.dst), e.words);
+        }
+        demand.add(own, graph.predecessors(task).map(|e| e.words).sum());
+        demand
+    }
+
+    /// Every task's demand vector under `mapping`, indexed by task id.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::LengthMismatch`] if `mapping` or an explicit
+    /// placement does not cover the graph, [`ModelError::UnknownBank`]
+    /// for an explicit home outside the platform.
+    pub fn derive(
+        &self,
+        graph: &TaskGraph,
+        mapping: &Mapping,
+        platform: &Platform,
+    ) -> Result<Vec<BankDemand>, ModelError> {
+        if mapping.len() != graph.len() {
+            return Err(ModelError::LengthMismatch {
+                expected: graph.len(),
+                found: mapping.len(),
+            });
+        }
+        self.validate(graph.len(), platform)?;
+        Ok(graph
+            .task_ids()
+            .map(|t| self.demand_of(graph, mapping, platform, t))
+            .collect())
+    }
+}
+
 /// Derives each task's total per-bank demand from the graph's edges and the
-/// tasks' private demands.
+/// tasks' private demands: [`BankPlacement::derive`] under a policy.
 ///
 /// For every edge `p -> c` with weight `w` words:
 ///
@@ -181,109 +299,14 @@ pub enum BankPolicy {
 /// # Errors
 ///
 /// Returns [`ModelError::LengthMismatch`] if `mapping` does not cover the
-/// graph, and [`ModelError::UnknownBank`] if the platform has fewer banks
-/// than the policy requires.
+/// graph.
 pub fn derive_demands(
     graph: &TaskGraph,
     mapping: &Mapping,
     platform: &Platform,
     policy: BankPolicy,
 ) -> Result<Vec<BankDemand>, ModelError> {
-    if mapping.len() != graph.len() {
-        return Err(ModelError::LengthMismatch {
-            expected: graph.len(),
-            found: mapping.len(),
-        });
-    }
-    let own_bank = |core: CoreId| -> Result<BankId, ModelError> {
-        match policy {
-            BankPolicy::PerCoreBank => {
-                let bank = BankId(core.0 % platform.banks() as u32);
-                Ok(bank)
-            }
-            BankPolicy::SingleBank => Ok(BankId(0)),
-        }
-    };
-
-    let mut demands = vec![BankDemand::new(); graph.len()];
-    for (id, task) in graph.iter() {
-        // Private demands are folded onto the task's own bank (bank 0
-        // under SingleBank), whatever bank they were declared on.
-        let bank = own_bank(mapping.core_of(id))?;
-        for (_, n) in task.private_demand().iter() {
-            demands[id.index()].add(bank, n);
-        }
-    }
-    for edge in graph.edges() {
-        // Writes land in the consumer's bank; reads come from the
-        // consumer's own bank (where the data now lives).
-        let target = own_bank(mapping.core_of(edge.dst))?;
-        demands[edge.src.index()].add(target, edge.words);
-        demands[edge.dst.index()].add(target, edge.words);
-    }
-    for d in &demands {
-        if let Some(b) = d.max_bank() {
-            if b.index() >= platform.banks() {
-                return Err(ModelError::UnknownBank(b));
-            }
-        }
-    }
-    Ok(demands)
-}
-
-/// [`derive_demands`] with an explicit per-task home bank instead of a
-/// policy-derived one: task `t`'s private accesses land in `banks[t]`,
-/// and every edge `p -> c` puts both endpoints' accesses in the
-/// *consumer's* home bank `banks[c]` — the data lives where the
-/// consumer reads it, exactly as under [`BankPolicy::PerCoreBank`].
-///
-/// When `banks[t] == BankId(core_of(t).0 % platform.banks())` for every
-/// task, the result is identical to
-/// `derive_demands(…, BankPolicy::PerCoreBank)`; explicit banks exist
-/// so a search can decouple memory placement from core placement
-/// (task-to-bank remapping as a first-class design variable).
-///
-/// # Errors
-///
-/// [`ModelError::LengthMismatch`] if `mapping` or `banks` does not
-/// cover the graph, [`ModelError::UnknownBank`] for a bank outside the
-/// platform.
-pub fn derive_demands_with_banks(
-    graph: &TaskGraph,
-    mapping: &Mapping,
-    platform: &Platform,
-    banks: &[BankId],
-) -> Result<Vec<BankDemand>, ModelError> {
-    if mapping.len() != graph.len() {
-        return Err(ModelError::LengthMismatch {
-            expected: graph.len(),
-            found: mapping.len(),
-        });
-    }
-    if banks.len() != graph.len() {
-        return Err(ModelError::LengthMismatch {
-            expected: graph.len(),
-            found: banks.len(),
-        });
-    }
-    for &bank in banks {
-        if bank.index() >= platform.banks() {
-            return Err(ModelError::UnknownBank(bank));
-        }
-    }
-    let mut demands = vec![BankDemand::new(); graph.len()];
-    for (id, task) in graph.iter() {
-        let bank = banks[id.index()];
-        for (_, n) in task.private_demand().iter() {
-            demands[id.index()].add(bank, n);
-        }
-    }
-    for edge in graph.edges() {
-        let target = banks[edge.dst.index()];
-        demands[edge.src.index()].add(target, edge.words);
-        demands[edge.dst.index()].add(target, edge.words);
-    }
-    Ok(demands)
+    BankPlacement::Policy(policy).derive(graph, mapping, platform)
 }
 
 #[cfg(test)]
@@ -403,7 +426,7 @@ mod tests {
         let banks: Vec<BankId> = (0..g.len())
             .map(|i| BankId(m.core_of(crate::TaskId::from_index(i)).0 % p.banks() as u32))
             .collect();
-        let explicit = derive_demands_with_banks(&g, &m, &p, &banks).unwrap();
+        let explicit = BankPlacement::Explicit(banks).derive(&g, &m, &p).unwrap();
         assert_eq!(derived, explicit);
     }
 
@@ -413,7 +436,7 @@ mod tests {
         // Move c's home bank from its core bank (0) to bank 1: the
         // a→c edge's 6 words now hit bank 1 at both endpoints.
         let banks = vec![BankId(0), BankId(1), BankId(1)];
-        let d = derive_demands_with_banks(&g, &m, &p, &banks).unwrap();
+        let d = BankPlacement::Explicit(banks).derive(&g, &m, &p).unwrap();
         assert_eq!(d[0].get(BankId(1)), 4 + 6); // both edges leave a
         assert_eq!(d[2].get(BankId(1)), 6);
         assert_eq!(d[2].get(BankId(0)), 0);
@@ -422,10 +445,12 @@ mod tests {
     #[test]
     fn explicit_banks_are_validated() {
         let (g, m, p) = diamond();
-        let err =
-            derive_demands_with_banks(&g, &m, &p, &[BankId(0), BankId(9), BankId(0)]).unwrap_err();
+        let explicit = |homes: &[BankId]| BankPlacement::Explicit(homes.to_vec());
+        let err = explicit(&[BankId(0), BankId(9), BankId(0)])
+            .derive(&g, &m, &p)
+            .unwrap_err();
         assert!(matches!(err, ModelError::UnknownBank(_)));
-        let err = derive_demands_with_banks(&g, &m, &p, &[BankId(0)]).unwrap_err();
+        let err = explicit(&[BankId(0)]).derive(&g, &m, &p).unwrap_err();
         assert!(matches!(err, ModelError::LengthMismatch { .. }));
     }
 }

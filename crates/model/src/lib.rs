@@ -68,14 +68,14 @@ mod task;
 mod time;
 
 pub use arbiter::Arbiter;
-pub use demand::{derive_demands, derive_demands_with_banks, BankDemand, BankPolicy};
+pub use demand::{derive_demands, BankDemand, BankPlacement, BankPolicy};
 pub use error::ModelError;
 pub use graph::{Edge, TaskGraph};
 pub use ids::{BankId, CoreId, EdgeId, TaskId};
 pub use mapping::Mapping;
 pub use metrics::{bank_loads, ScheduleMetrics};
 pub use platform::Platform;
-pub use problem::Problem;
+pub use problem::{Move, Problem, Revert};
 pub use schedule::{Schedule, ScheduleViolation, TaskTiming};
 pub use scratch::DemandMerge;
 pub use table::TaskTable;

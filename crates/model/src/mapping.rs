@@ -31,10 +31,11 @@ use crate::{CoreId, ModelError, TaskGraph, TaskId};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Mapping {
-    core_of: Vec<CoreId>,
+    pub(crate) core_of: Vec<CoreId>,
     /// Execution order per core, indexed by core id; tasks absent from a
-    /// core's vector do not run on it.
-    order: Vec<Vec<TaskId>>,
+    /// core's vector do not run on it. `Problem::apply_move` patches it
+    /// in place.
+    pub(crate) order: Vec<Vec<TaskId>>,
 }
 
 impl Mapping {

@@ -13,9 +13,10 @@
 //! * `mia-baseline` keeps one per analysis run and resets it for every
 //!   interference evaluation.
 //!
-//! Resetting is O(1): a generation counter is bumped and stale entries are
-//! recognised by their stamp, so no buffer is ever cleared element by
-//! element on the hot path.
+//! Resetting costs only the banks touched since the last reset: a
+//! generation counter is bumped and stale entries are recognised by their
+//! stamp, so the dense buffers are never cleared element by element on
+//! the hot path.
 //!
 //! # Example
 //!
@@ -36,7 +37,7 @@
 //! assert_eq!((set[0].core, set[0].accesses), (CoreId(0), 25));
 //! assert_eq!((set[1].core, set[1].accesses), (CoreId(3), 110));
 //!
-//! // O(1) reuse for the next task.
+//! // Reuse for the next task, without clearing the dense buffers.
 //! merge.reset();
 //! assert_eq!(merge.get(BankId(1), CoreId(3)), 0);
 //! assert!(merge.touched_banks().is_empty());
@@ -45,7 +46,7 @@
 use crate::arbiter::InterfererDemand;
 use crate::{BankId, CoreId};
 
-/// A dense per-`(bank, core)` demand accumulator with O(1) reuse.
+/// A dense per-`(bank, core)` demand accumulator, reused without clearing.
 ///
 /// See the [module documentation](self) for the role it plays in the
 /// analyses. All entries are conceptually zero after [`DemandMerge::reset`];
@@ -63,6 +64,11 @@ pub struct DemandMerge {
     touched: Vec<BankId>,
     /// Generation stamp per bank (deduplicates `touched`).
     bank_stamp: Vec<u32>,
+    /// One bit per core holding a live entry, `words` 64-bit words per
+    /// bank; [`DemandMerge::reset`] clears the touched banks' words.
+    /// Lets the readers of a bank's row visit its live entries only.
+    live: Vec<u64>,
+    words: usize,
     /// Reusable buffer returned by [`DemandMerge::bank_set`].
     set_buf: Vec<InterfererDemand>,
 }
@@ -72,6 +78,7 @@ impl DemandMerge {
     /// `cores` cores. Allocates `banks × cores` entries once; nothing on
     /// the hot path allocates after this.
     pub fn new(banks: usize, cores: usize) -> Self {
+        let words = cores.div_ceil(64);
         DemandMerge {
             banks,
             cores,
@@ -80,6 +87,8 @@ impl DemandMerge {
             stamp: vec![0; banks * cores],
             touched: Vec::with_capacity(banks),
             bank_stamp: vec![0; banks],
+            live: vec![0; banks * words],
+            words,
             set_buf: Vec::with_capacity(cores),
         }
     }
@@ -94,8 +103,12 @@ impl DemandMerge {
         self.cores
     }
 
-    /// Forgets all accumulated demand in O(1).
+    /// Forgets all accumulated demand in O(banks touched).
     pub fn reset(&mut self) {
+        for &bank in &self.touched {
+            let w = bank.index() * self.words;
+            self.live[w..w + self.words].fill(0);
+        }
         self.touched.clear();
         if self.generation == u32::MAX {
             // One full clear every 2³² resets keeps the stamps sound.
@@ -125,14 +138,15 @@ impl DemandMerge {
         let i = self.index(bank, core);
         if self.stamp[i] == self.generation {
             self.accesses[i] += accesses;
-        } else {
-            self.stamp[i] = self.generation;
-            self.accesses[i] = accesses;
+            return;
         }
+        self.stamp[i] = self.generation;
+        self.accesses[i] = accesses;
         if self.bank_stamp[bank.index()] != self.generation {
             self.bank_stamp[bank.index()] = self.generation;
             self.touched.push(bank);
         }
+        self.live[bank.index() * self.words + core.index() / 64] |= 1 << (core.index() % 64);
     }
 
     /// The demand accumulated for `(bank, core)` since the last reset.
@@ -158,22 +172,33 @@ impl DemandMerge {
     /// core order within a bank. [`DemandMerge::restore`] rebuilds an
     /// indistinguishable accumulator from the result; the analysis
     /// checkpointing in `mia-core` uses the pair to freeze and thaw
-    /// per-slot merge state.
-    pub fn export(&self) -> Vec<(BankId, CoreId, u64)> {
-        let mut out = Vec::new();
+    /// per-slot merge state, appending every slot's entries to one
+    /// buffer per checkpoint.
+    pub fn export_into(&self, out: &mut Vec<(BankId, CoreId, u64)>) {
         for &bank in &self.touched {
-            let row = bank.index() * self.cores;
-            for core in 0..self.cores {
-                if self.stamp[row + core] == self.generation {
-                    out.push((bank, CoreId::from_index(core), self.accesses[row + core]));
-                }
-            }
+            out.extend(self.row(bank).map(|(core, n)| (bank, core, n)));
         }
-        out
+    }
+
+    /// The live `(core, accesses)` entries of `bank`, ascending by core.
+    fn row(&self, bank: BankId) -> impl Iterator<Item = (CoreId, u64)> + '_ {
+        let words = &self.live[bank.index() * self.words..][..self.words];
+        let row = bank.index() * self.cores;
+        words.iter().enumerate().flat_map(move |(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let core = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some((CoreId::from_index(core), self.accesses[row + core]))
+            })
+        })
     }
 
     /// Resets the accumulator and replays `entries` (as produced by
-    /// [`DemandMerge::export`]) into it.
+    /// [`DemandMerge::export_into`]) into it.
     pub fn restore(&mut self, entries: &[(BankId, CoreId, u64)]) {
         self.reset();
         for &(bank, core, accesses) in entries {
@@ -190,16 +215,13 @@ impl DemandMerge {
     ///
     /// [`Arbiter::bank_interference`]: crate::Arbiter::bank_interference
     pub fn bank_set(&mut self, bank: BankId) -> &[InterfererDemand] {
-        self.set_buf.clear();
-        let row = bank.index() * self.cores;
-        for core in 0..self.cores {
-            if self.stamp[row + core] == self.generation {
-                self.set_buf.push(InterfererDemand {
-                    core: CoreId::from_index(core),
-                    accesses: self.accesses[row + core],
-                });
-            }
-        }
+        let mut set = std::mem::take(&mut self.set_buf);
+        set.clear();
+        set.extend(
+            self.row(bank)
+                .map(|(core, accesses)| InterfererDemand { core, accesses }),
+        );
+        self.set_buf = set;
         &self.set_buf
     }
 }
@@ -254,7 +276,10 @@ mod tests {
         m.add(BankId(2), CoreId(3), 9);
         m.add(BankId(0), CoreId(1), 0); // a zero still marks an interferer
         m.add(BankId(2), CoreId(0), 4);
-        let exported = m.export();
+        let mut exported = vec![(BankId(1), CoreId(1), 1)];
+        m.export_into(&mut exported);
+        // Appended after what the buffer already held.
+        let exported = exported.split_off(1);
         assert_eq!(
             exported,
             vec![

@@ -105,7 +105,11 @@ proptest! {
         // from_assignment orders by task id, which is consistent with the
         // forward-edge DAG, so the combined relation must be acyclic.
         let p = Problem::new(g, m, Platform::new(16, 16)).unwrap();
-        prop_assert_eq!(p.combined_order().len(), p.len());
+        // Every dependency edge strictly raises the rank: the fact that
+        // lets a mapping without rank inversions skip the cycle search.
+        for e in p.graph().edges() {
+            prop_assert!(p.table().rank(e.src) < p.table().rank(e.dst));
+        }
     }
 
     #[test]
