@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mia_arbiter::{Fifo, FixedPriority, MppaTree, Regulated, RoundRobin, Tdm};
-use mia_bench::benchmark_problem;
+use mia_cli::benchmark_problem;
 use mia_core::{analyze_with, AnalysisOptions, InterferenceMode, NoopObserver};
 use mia_dag_gen::{Family, LayeredDag};
 use mia_model::{arbiter::InterfererDemand, Arbiter, CoreId, Cycles};

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mia_arbiter::RoundRobin;
-use mia_bench::benchmark_problem;
+use mia_cli::benchmark_problem;
 use mia_dag_gen::Family;
 
 fn figure3_new(c: &mut Criterion) {

@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use mia_arbiter::{Fifo, FixedPriority, MppaTree, RoundRobin, Tdm};
 use mia_baseline::{AggregationMode, BaselineOptions};
-use mia_bench::benchmark_problem;
+use mia_cli::benchmark_problem;
 use mia_core::{analyze_with, AnalysisOptions, InterferenceMode, NoopObserver};
 use mia_dag_gen::{Family, LayeredDag};
 use mia_model::{Arbiter, BankPolicy, Platform};

@@ -14,7 +14,8 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use mia_arbiter::RoundRobin;
-use mia_bench::{benchmark_problem, time_algorithm, write_json, Algorithm, Outcome};
+use mia_bench::write_json;
+use mia_cli::{benchmark_problem, time_algorithm, Algorithm, Outcome};
 use mia_dag_gen::Family;
 use serde::Serialize;
 

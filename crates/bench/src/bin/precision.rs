@@ -13,7 +13,8 @@
 use std::process::ExitCode;
 
 use mia_arbiter::RoundRobin;
-use mia_bench::{benchmark_problem, write_json};
+use mia_bench::write_json;
+use mia_cli::benchmark_problem;
 use mia_dag_gen::Family;
 use serde::Serialize;
 

@@ -10,7 +10,8 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use mia_arbiter::RoundRobin;
-use mia_bench::{benchmark_problem, time_algorithm, write_json, Algorithm, Point};
+use mia_bench::{write_json, Point};
+use mia_cli::{benchmark_problem, time_algorithm, Algorithm};
 use mia_dag_gen::Family;
 
 fn main() -> ExitCode {

@@ -3,11 +3,11 @@
 //!
 //! This is the machinery behind the `dse` binary
 //! (`cargo run --release -p mia-bench --bin dse`). It reuses the sweep's
-//! family vocabulary ([`parse_sweep_family_token`]) so every sweep
-//! workload — generated Figure 3 families, `rosace`, `sdf3:<path>` —
-//! can be optimized, each from the same layered-cyclic seed mapping the
-//! sweep measures, and reports the before/after analyzed makespans per
-//! grid point:
+//! family vocabulary ([`parse_family_token`]) and grid flags
+//! ([`parse_grid_flag`]) so every sweep workload — generated Figure 3
+//! families, `rosace`, `sdf3:<path>` — can be optimized, each from the
+//! same layered-cyclic seed mapping the sweep measures, and reports the
+//! before/after analyzed makespans per grid point:
 //!
 //! ```text
 //! cargo run --release -p mia-bench --bin dse -- \
@@ -23,7 +23,7 @@ use mia_dse::{
 };
 use mia_model::BankPolicy;
 
-use crate::sweep::{parse_sweep_family_token, SweepFamily};
+use mia_cli::sweep::{parse_family_token, parse_grid_flag, SweepFamily};
 
 /// The grid a DSE batch covers, plus the shared search knobs.
 #[derive(Debug, Clone)]
@@ -48,7 +48,7 @@ impl Default for DseSpec {
         DseSpec {
             families: vec![
                 SweepFamily::Rosace,
-                parse_sweep_family_token("layered").expect("preset token"),
+                parse_family_token("layered").expect("preset token"),
             ],
             arbiters: vec!["rr".to_owned()],
             sizes: vec![150],
@@ -74,7 +74,9 @@ pub fn run_dse(spec: &DseSpec, progress: &dyn Fn(&OptimizeRun)) -> Result<Optimi
     let mut runs = Vec::new();
     for family in &spec.families {
         for &n in &spec.sizes {
-            let problem = family.problem(n, spec.config.seed)?;
+            let problem = family
+                .grid_problem(n, spec.config.seed)
+                .map_err(|e| e.to_string())?;
             let space = SearchSpace::new(problem, BankPolicy::PerCoreBank);
             runs.extend(run_arbiters(
                 &space,
@@ -124,31 +126,17 @@ pub fn parse_dse_spec(args: &[String]) -> Result<(DseSpec, Option<String>, bool)
     let mut args = args.iter();
     while let Some(flag) = args.next() {
         let flag = flag.as_str();
+        if parse_grid_flag(
+            flag,
+            &mut args,
+            &mut spec.families,
+            &mut spec.arbiters,
+            &mut spec.sizes,
+        )? {
+            continue;
+        }
         let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag {
-            "--families" => {
-                spec.families = value()?
-                    .split(',')
-                    .map(parse_sweep_family_token)
-                    .collect::<Result<_, _>>()?;
-            }
-            "--arbiters" => {
-                spec.arbiters = value()?.split(',').map(str::to_owned).collect();
-                for name in &spec.arbiters {
-                    mia_arbiter::by_name_or_err(name)?;
-                }
-            }
-            "--sizes" => {
-                spec.sizes = value()?
-                    .split(',')
-                    .map(|tok| {
-                        tok.parse::<usize>()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| format!("bad size `{tok}`"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
             "--strategy" => strategy = value()?,
             "--chains" => chains = Some(num(flag, value()?)?),
             "--seed" => spec.config.seed = num(flag, value()?)?,
@@ -161,9 +149,6 @@ pub fn parse_dse_spec(args: &[String]) -> Result<(DseSpec, Option<String>, bool)
         }
     }
     spec.config.strategy = Strategy::parse(strategy, chains)?;
-    if spec.families.is_empty() || spec.arbiters.is_empty() || spec.sizes.is_empty() {
-        return Err("families, arbiters and sizes must all be non-empty".to_owned());
-    }
     Ok((spec, out, csv))
 }
 
@@ -320,5 +305,51 @@ mod tests {
         };
         let err = run_dse(&spec, &|_| {}).unwrap_err();
         assert!(err.contains("/nonexistent/app.sdf3"), "{err}");
+    }
+
+    /// `mia optimize rosace` sizes its seed problem by `--iterations`,
+    /// the `dse` grid's `rosace` point at size 25 by its task count; both
+    /// expand through the same step and run the same driver, so they
+    /// must report the same runs, apart from wall-clock seconds.
+    #[test]
+    fn optimize_and_the_dse_grid_agree() {
+        // Pretty JSON puts each field on its own line.
+        let without_clock = |json: &str| -> Vec<String> {
+            json.lines()
+                .filter(|l| {
+                    let l = l.trim_start();
+                    !l.starts_with("\"seconds\":") && !l.starts_with("\"wall_seconds\":")
+                })
+                .map(str::to_owned)
+                .collect()
+        };
+        for pareto in [false, true] {
+            let cli = "optimize rosace --arbiters rr,mppa --budget-evals 200 --seed 7 --threads 1";
+            let mut cli: Vec<String> = cli.split(' ').map(str::to_owned).collect();
+            if pareto {
+                cli.push("--pareto".to_owned());
+            }
+            let out = mia_cli::run(&cli).unwrap();
+            let cli_json = &out[out.find("\n{").expect("report JSON") + 1..];
+            let spec = DseSpec {
+                families: vec![SweepFamily::Rosace],
+                arbiters: vec!["rr".to_owned(), "mppa".to_owned()],
+                sizes: vec![25],
+                config: DseConfig {
+                    seed: 7,
+                    budget_evals: 200,
+                    threads: 1,
+                    pareto: pareto.then(ParetoConfig::default),
+                    ..DseConfig::default()
+                },
+            };
+            let report = run_dse(&spec, &|_| {}).unwrap();
+            assert_eq!(report.runs.len(), if pareto { 1 } else { 2 });
+            assert_eq!(
+                without_clock(cli_json.trim_end()),
+                without_clock(&mia_dse::report_json(&report)),
+                "pareto = {pareto}"
+            );
+        }
     }
 }

@@ -7,154 +7,29 @@
 //! | `fig3` | Figure 3: runtime of old vs new algorithm over the six random-DAG families (LS4/16/64, NL4/16/64), with log–log regression exponents |
 //! | `headline` | §V's headline numbers (LS64@256: 270×, NL64@384: 593×) |
 //! | `scale8000` | §VI's ">8000 tasks in reasonable time" claim |
-//! | `dse` | interference-aware mapping optimization over the [`sweep`] family vocabulary → `BENCH_dse.json` (see [`dse`]) |
+//! | `dse` | interference-aware mapping optimization over the `mia sweep` family vocabulary → `BENCH_dse.json` (see [`dse`]) |
+//! | `serve` | the `mia serve` daemon under concurrent clients → `BENCH_serve.json` (see [`serve`]) |
 //! | `ablation` | ablations A1–A4 of §II.C and §IV's design choices (interference mode, aggregation, arbiters, banks) |
 //! | `precision` | V2: old-vs-new precision comparison |
+//! | `tightness` | how far the analysed bounds sit above simulated executions |
 //!
-//! This library holds the shared machinery: wall-clock measurement with
-//! cooperative timeouts ([`run_timed`]), log–log least-squares fitting
-//! ([`fit_exponent`], producing the `O(n^x)` annotations of Figure 3),
-//! workload construction and report serialization. The [`sweep`] module
-//! is the engine behind `mia sweep`: arbiter × family × size grids
-//! measured concurrently into one JSON or CSV report (Figure 3 in one
-//! command).
+//! This crate is a leaf over `mia-cli`: workloads come from its one
+//! family vocabulary ([`mia_cli::sweep`], [`mia_cli::benchmark_problem`])
+//! and are timed with its [`mia_cli::time_algorithm`]. This library
+//! adds what only the figures need: per-family sweeps with log–log
+//! least-squares fitting ([`sweep_family`], [`fit_exponent`], producing
+//! the `O(n^x)` annotations of Figure 3), their markdown rendering and
+//! report serialization.
 
 pub mod dse;
 pub mod serve;
-pub mod sweep;
 
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mia_arbiter::RoundRobin;
-use mia_core::{AnalysisError, CancelToken};
-use mia_dag_gen::{Family, LayeredDag};
-use mia_model::{Arbiter, Cycles, Platform, Problem};
+use mia_cli::{benchmark_problem, time_algorithm, Algorithm, Outcome};
+use mia_dag_gen::Family;
 use serde::Serialize;
-
-/// Which algorithm a measurement exercised.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum Algorithm {
-    /// The paper's incremental O(n²) analysis (`mia-core`).
-    Incremental,
-    /// The original O(n⁴) double fixed point (`mia-baseline`).
-    Original,
-}
-
-impl Algorithm {
-    /// Label used in reports ("new"/"old", as in the paper's plots).
-    pub fn label(self) -> &'static str {
-        match self {
-            Algorithm::Incremental => "new",
-            Algorithm::Original => "old",
-        }
-    }
-}
-
-/// Outcome of one timed analysis run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub enum Outcome {
-    /// Finished within the budget.
-    Completed {
-        /// Wall-clock seconds.
-        seconds: f64,
-        /// Resulting global WCRT (sanity anchor across algorithms).
-        makespan: u64,
-    },
-    /// Cancelled after exceeding the budget (the paper's "timeout that
-    /// the C++ version easily reaches for more than 256 tasks").
-    TimedOut {
-        /// The budget that was exhausted, in seconds.
-        budget: f64,
-    },
-    /// The analysis failed (should not happen on generated workloads).
-    Failed {
-        /// Error rendering.
-        error: String,
-    },
-}
-
-impl Outcome {
-    /// The runtime if the run completed.
-    pub fn seconds(&self) -> Option<f64> {
-        match self {
-            Outcome::Completed { seconds, .. } => Some(*seconds),
-            _ => None,
-        }
-    }
-
-    /// True if the run hit its budget.
-    pub fn timed_out(&self) -> bool {
-        matches!(self, Outcome::TimedOut { .. })
-    }
-}
-
-/// Runs `f` with a cancellation token that fires after `budget`.
-///
-/// The analysis algorithms poll their token at every cursor step /
-/// fixed-point pass, so cancellation latency is a small multiple of one
-/// pass.
-pub fn run_timed<F>(budget: Duration, f: F) -> Outcome
-where
-    F: FnOnce(CancelToken) -> Result<Cycles, AnalysisError>,
-{
-    let token = CancelToken::new();
-    let watchdog_token = token.clone();
-    let (done_tx, done_rx) = mpsc::channel::<()>();
-    let watchdog = std::thread::spawn(move || {
-        if done_rx.recv_timeout(budget).is_err() {
-            watchdog_token.cancel();
-        }
-    });
-    let start = Instant::now();
-    let result = f(token);
-    let seconds = start.elapsed().as_secs_f64();
-    let _ = done_tx.send(());
-    let _ = watchdog.join();
-    match result {
-        Ok(makespan) => Outcome::Completed {
-            seconds,
-            makespan: makespan.as_u64(),
-        },
-        Err(AnalysisError::Cancelled) => Outcome::TimedOut {
-            budget: budget.as_secs_f64(),
-        },
-        Err(e) => Outcome::Failed {
-            error: e.to_string(),
-        },
-    }
-}
-
-/// Builds the benchmark problem for `family` with `n` tasks (paper
-/// parameters, MPPA-256 cluster platform). The seed mixes the family and
-/// size so every point is an independent draw, reproducibly.
-pub fn benchmark_problem(family: Family, n: usize, seed: u64) -> Problem {
-    let mixed = seed ^ ((n as u64) << 20) ^ family.label().bytes().map(u64::from).sum::<u64>();
-    LayeredDag::new(family.config(n, mixed))
-        .generate()
-        .into_problem(&Platform::mppa256_cluster())
-        .expect("generated workload is valid")
-}
-
-/// Times the chosen algorithm on a problem under `arbiter` with a budget.
-pub fn time_algorithm(
-    algorithm: Algorithm,
-    problem: &Problem,
-    arbiter: &dyn Arbiter,
-    budget: Duration,
-) -> Outcome {
-    match algorithm {
-        Algorithm::Incremental => run_timed(budget, |token| {
-            let options = mia_core::AnalysisOptions::new().cancel_token(token);
-            mia_core::analyze_with(problem, arbiter, &options, &mut mia_core::NoopObserver)
-                .map(|r| r.schedule.makespan())
-        }),
-        Algorithm::Original => run_timed(budget, |token| {
-            let options = mia_baseline::BaselineOptions::new().cancel_token(token);
-            mia_baseline::analyze_with(problem, arbiter, &options).map(|r| r.schedule.makespan())
-        }),
-    }
-}
 
 /// One measured point of a sweep.
 #[derive(Debug, Clone, Serialize)]
@@ -346,23 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn run_timed_completes_fast_functions() {
-        let o = run_timed(Duration::from_secs(5), |_| Ok(Cycles(42)));
-        assert!(matches!(o, Outcome::Completed { makespan: 42, .. }));
-    }
-
-    #[test]
-    fn run_timed_cancels_slow_functions() {
-        let o = run_timed(Duration::from_millis(50), |token| {
-            while !token.is_cancelled() {
-                std::thread::yield_now();
-            }
-            Err(AnalysisError::Cancelled)
-        });
-        assert!(o.timed_out());
-    }
-
-    #[test]
     fn sweep_produces_points_and_speedups() {
         let sweep = sweep_family(
             Family::FixedLayerSize(4),
@@ -376,12 +234,5 @@ mod tests {
         let text = render_sweep(&sweep);
         assert!(text.contains("LS4"));
         assert!(text.contains("| 16 |"));
-    }
-
-    #[test]
-    fn benchmark_problem_is_reproducible() {
-        let a = benchmark_problem(Family::FixedLayers(4), 64, 9);
-        let b = benchmark_problem(Family::FixedLayers(4), 64, 9);
-        assert_eq!(a.graph(), b.graph());
     }
 }

@@ -1,8 +1,9 @@
 //! Load generator for the `mia serve` daemon (the `serve` binary).
 //!
-//! Spawns an in-process daemon through the `mia-serve` testkit, then
-//! drives it with N concurrent clients × M requests each and reports
-//! latency percentiles and throughput per client count — committed as
+//! Spawns an in-process daemon running the engine `mia serve` runs
+//! ([`CliEngine`]) through the `mia-serve` testkit, then drives it with
+//! N concurrent clients × M requests each and reports latency
+//! percentiles and throughput per client count — committed as
 //! `BENCH_serve.json` so the daemon's concurrency behaviour is tracked
 //! like every other benchmark artefact.
 //!
@@ -18,87 +19,11 @@
 //!   overhead.
 
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use crate::benchmark_problem;
-use mia_model::{BankPolicy, Platform, Problem};
-use mia_serve::{Engine, EngineError, Loaded, ServeConfig, ServeHandle, Target};
+use mia_cli::CliEngine;
+use mia_serve::{ServeConfig, ServeHandle};
 use serde::Serialize;
-
-/// A real-analysis engine without the CLI layer: `analyze` runs the
-/// incremental analysis and reports the makespan. Enough work per
-/// request to make contention measurable, no file formats involved.
-pub struct BenchEngine;
-
-impl BenchEngine {
-    fn build(token: &str, args: &[String]) -> Result<(Problem, String), EngineError> {
-        if token == "rosace" {
-            let graph = mia_sdf::rosace()
-                .expand(1)
-                .map_err(|e| EngineError::usage(e.to_string()))?
-                .graph;
-            let mapping = mia_mapping::layered_cyclic(&graph, 16)
-                .map_err(|e| EngineError::analysis(e.to_string()))?;
-            let problem = Problem::new(graph, mapping, Platform::new(16, 16))
-                .map_err(|e| EngineError::analysis(e.to_string()))?;
-            return Ok((problem, "rosace".to_owned()));
-        }
-        let Some(family) = crate::sweep::parse_family_token(token) else {
-            return Err(EngineError::usage(format!(
-                "unknown workload `{token}` (rosace or a family token like LS16)"
-            )));
-        };
-        let n = args
-            .iter()
-            .position(|a| a == "-n")
-            .and_then(|i| args.get(i + 1))
-            .map_or(Ok(64), |v| v.parse())
-            .map_err(|_| EngineError::usage("-n must be a number"))?;
-        Ok((benchmark_problem(family, n, 0), family.label()))
-    }
-}
-
-impl Engine for BenchEngine {
-    fn load(&self, token: &str, args: &[String]) -> Result<Loaded, EngineError> {
-        let (problem, label) = BenchEngine::build(token, args)?;
-        Ok(Loaded {
-            problem,
-            policy: BankPolicy::PerCoreBank,
-            label,
-        })
-    }
-
-    fn run(
-        &self,
-        method: &str,
-        target: Target<'_>,
-        args: &[String],
-        _budget: Option<Duration>,
-    ) -> Result<String, EngineError> {
-        if method != "analyze" {
-            return Err(EngineError::usage(format!(
-                "bench engine serves only analyze, not `{method}`"
-            )));
-        }
-        let owned;
-        let problem = match target {
-            Target::Resident(loaded) => &loaded.problem,
-            Target::Token(token) => {
-                owned = BenchEngine::build(token, args)?.0;
-                &owned
-            }
-            Target::None => return Err(EngineError::usage("analyze needs a workload")),
-        };
-        let arbiter = mia_arbiter::RoundRobin::new();
-        let schedule = mia_core::analyze(problem, &arbiter)
-            .map_err(|e| EngineError::analysis(e.to_string()))?;
-        Ok(format!("makespan: {}\n", schedule.makespan()))
-    }
-
-    fn methods(&self) -> &'static [&'static str] {
-        &["analyze"]
-    }
-}
 
 /// What the `serve` binary measures.
 #[derive(Debug, Clone)]
@@ -111,7 +36,8 @@ pub struct ServeBenchSpec {
     pub workers: usize,
     /// Admission queue bound.
     pub max_pending: usize,
-    /// Workload token every request targets.
+    /// Workload token every request targets: anything `mia analyze`
+    /// takes (`rosace`, an SDF file or a JSON workload file).
     pub workload: String,
 }
 
@@ -248,7 +174,7 @@ fn measure_point(
     progress: &dyn Fn(&ServePoint),
 ) -> ServePoint {
     let handle = ServeHandle::spawn(
-        Arc::new(BenchEngine),
+        Arc::new(CliEngine),
         ServeConfig {
             workers: spec.workers,
             max_pending: spec.max_pending,
@@ -375,7 +301,7 @@ mod tests {
             requests_per_client: 2,
             workers: 2,
             max_pending: 64,
-            workload: "LS4".to_owned(),
+            workload: "rosace".to_owned(),
         };
         let report = run_serve_bench(&spec, &|_| {});
         assert_eq!(report.points.len(), 4);

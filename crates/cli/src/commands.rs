@@ -4,10 +4,10 @@ use std::fmt;
 use std::fs;
 
 use mia_core::{analyze_with, AnalysisOptions, NoopObserver};
-use mia_dag_gen::{Family, LayeredDag};
 use mia_model::{Arbiter, Cycles, Platform, Problem};
 use mia_sim::{simulate, AccessPattern, SimConfig};
 
+use crate::sweep::parse_family_token;
 use crate::workload::WorkloadFile;
 
 /// Errors surfaced to the terminal with exit code 1.
@@ -53,7 +53,8 @@ absent and the graph declares a hyper-period, --deadline <cycles>
 derives the smallest iteration count covering the deadline.
 
 commands:
-  generate --family <LS4|NL64|...> -n <tasks> [--seed S] [-o FILE]
+  generate --family <LS4|NL64|tobita|layered|rosace|sdf3:FILE> -n <tasks>
+           [--seed S] [-o FILE]
   analyze  <workload> [--algorithm incremental|baseline]
            [--arbiter rr|mppa|tdm|fifo|fp|wrr|regulated] [--deadline N]
            [--gantt] [--dot] [--json FILE] [--chrome FILE]
@@ -345,19 +346,6 @@ pub(crate) fn positional(args: &[String]) -> Option<&str> {
         .next()
 }
 
-fn parse_family(label: &str) -> Result<Family, CliError> {
-    let label = label.to_uppercase();
-    let (kind, value) = label.split_at(2);
-    let value: usize = value
-        .parse()
-        .map_err(|_| CliError::Usage(format!("bad family `{label}` (try LS64 or NL16)")))?;
-    match kind {
-        "LS" => Ok(Family::FixedLayerSize(value)),
-        "NL" => Ok(Family::FixedLayers(value)),
-        _ => Err(CliError::Usage(format!("bad family `{label}`"))),
-    }
-}
-
 fn parse_arbiter(name: Option<&str>) -> Result<Box<dyn Arbiter + Send + Sync>, CliError> {
     mia_arbiter::by_name_or_err(name.unwrap_or("rr")).map_err(CliError::Usage)
 }
@@ -374,9 +362,16 @@ pub(crate) fn load_sdf_graph(path: &str) -> Result<mia_sdf::SdfGraph, CliError> 
     if path == "rosace" {
         return Ok(mia_sdf::rosace());
     }
+    read_sdf_file(path)
+}
+
+/// Reads and parses an SDF file: `.sdf3`/`.xml` as SDF3, anything else
+/// as the `.sdf` text format. Errors name the file.
+pub(crate) fn read_sdf_file(path: &str) -> Result<mia_sdf::SdfGraph, CliError> {
     let text = {
         let _span = mia_obs::span("workload.read");
-        fs::read_to_string(path)?
+        fs::read_to_string(path)
+            .map_err(|e| CliError::Io(std::io::Error::new(e.kind(), format!("{path}: {e}"))))?
     };
     let _span = mia_obs::span("workload.parse");
     mia_sdf::parse_named(path, &text).map_err(|e| CliError::Parse(format!("{path}: {e}")))
@@ -428,17 +423,14 @@ pub(crate) fn sdf_iterations(
         })
 }
 
-/// Builds the mapping of an expanded SDF graph from a strategy-name
-/// flag (`--strategy` for the analysis commands, `--seed-strategy` for
-/// `mia optimize`, which repurposes `--strategy` for the search).
-pub(crate) fn sdf_mapping(
+/// Maps `graph` onto `cores` cores with the named strategy (`etf`,
+/// `cyclic`, `balanced` or `heft`).
+pub(crate) fn mapping_by_name(
     graph: &mia_model::TaskGraph,
     cores: usize,
-    args: &[String],
-    strategy_flag: &str,
-    default_strategy: &str,
+    strategy: &str,
 ) -> Result<mia_model::Mapping, CliError> {
-    match opt(args, strategy_flag).unwrap_or(default_strategy) {
+    match strategy {
         "etf" => mia_mapping::earliest_finish(graph, cores),
         "cyclic" => mia_mapping::layered_cyclic(graph, cores),
         "balanced" => mia_mapping::load_balanced(graph, cores),
@@ -450,6 +442,28 @@ pub(crate) fn sdf_mapping(
         }
     }
     .map_err(|e| CliError::Analysis(e.to_string()))
+}
+
+/// Expands `graph` for `iterations` graph iterations and maps the
+/// expansion onto a `cores`-core platform (one bank per core) with the
+/// named strategy: the step every SDF input shares, whether it is sized
+/// by flags ([`sdf_problem_full`]) or by a task count
+/// ([`SweepFamily::problem`](crate::sweep::SweepFamily::problem)).
+/// `label` names the input in expansion errors.
+pub(crate) fn expand_sdf(
+    graph: &mia_sdf::SdfGraph,
+    label: &str,
+    iterations: u64,
+    cores: usize,
+    strategy: &str,
+) -> Result<Problem, CliError> {
+    let _span = mia_obs::span("model.build");
+    let expansion = graph
+        .expand(iterations)
+        .map_err(|e| CliError::Parse(format!("{label}: {e}")))?;
+    let mapping = mapping_by_name(&expansion.graph, cores, strategy)?;
+    Problem::new(expansion.graph, mapping, Platform::new(cores, cores))
+        .map_err(|e| CliError::Analysis(e.to_string()))
 }
 
 /// Expands an SDF input into an analysable problem, honouring the
@@ -468,38 +482,14 @@ pub(crate) fn sdf_problem_full(
         .map_err(|_| CliError::Usage("--cores must be a number".into()))?;
     let graph = load_sdf_graph(path)?;
     let iterations = sdf_iterations(&graph, path, args)?;
-    let _span = mia_obs::span("model.build");
-    let expansion = graph
-        .expand(iterations)
-        .map_err(|e| CliError::Parse(format!("{path}: {e}")))?;
-    let mapping = sdf_mapping(
-        &expansion.graph,
-        cores,
-        args,
-        strategy_flag,
-        default_strategy,
-    )?;
-    let problem = Problem::new(expansion.graph, mapping, Platform::new(cores, cores))
-        .map_err(|e| CliError::Analysis(e.to_string()))?;
+    let strategy = opt(args, strategy_flag).unwrap_or(default_strategy);
+    let problem = expand_sdf(&graph, path, iterations, cores, strategy)?;
     Ok((problem, iterations))
-}
-
-/// [`sdf_problem_full`] with the analysis commands' `--strategy` flag.
-pub(crate) fn sdf_problem_with_iterations(
-    path: &str,
-    args: &[String],
-) -> Result<(Problem, u64), CliError> {
-    sdf_problem_full(path, args, "--strategy", "etf")
-}
-
-/// [`sdf_problem_with_iterations`] without the iteration count.
-fn sdf_problem(path: &str, args: &[String]) -> Result<Problem, CliError> {
-    sdf_problem_with_iterations(path, args).map(|(p, _)| p)
 }
 
 pub(crate) fn load_problem(path: &str, args: &[String]) -> Result<Problem, CliError> {
     if is_sdf_input(path) {
-        return sdf_problem(path, args);
+        return sdf_problem_full(path, args, "--strategy", "etf").map(|(p, _)| p);
     }
     let text = {
         let _span = mia_obs::span("workload.read");
@@ -516,35 +506,40 @@ pub(crate) fn load_problem(path: &str, args: &[String]) -> Result<Problem, CliEr
         .map_err(|e| CliError::Parse(format!("{path}: {e}")))
 }
 
-/// The `--seed` value (0 when absent). A value that is not a number is
-/// a usage error, never silently seed 0.
-fn seed_opt(args: &[String]) -> Result<u64, CliError> {
-    opt(args, "--seed").map_or(Ok(0), |s| {
+/// The value of the seed flag `flag` (0 when absent). A value that is
+/// not a number is a usage error, never silently seed 0.
+pub(crate) fn seed_opt(args: &[String], flag: &str) -> Result<u64, CliError> {
+    opt(args, flag).map_or(Ok(0), |s| {
         s.parse()
-            .map_err(|_| CliError::Usage(format!("`--seed` must be a number, found `{s}`")))
+            .map_err(|_| CliError::Usage(format!("`{flag}` must be a number, found `{s}`")))
     })
 }
 
-fn generate(args: &[String]) -> Result<String, CliError> {
-    let family = parse_family(
-        opt(args, "--family").ok_or_else(|| CliError::Usage("generate needs --family".into()))?,
-    )?;
-    let n: usize = opt(args, "-n")
+/// The `-n`/`--tasks` task count a family token is built at; `command`
+/// names the caller when it is missing.
+pub(crate) fn task_count(args: &[String], command: &str) -> Result<usize, CliError> {
+    opt(args, "-n")
         .or_else(|| opt(args, "--tasks"))
-        .ok_or_else(|| CliError::Usage("generate needs -n <tasks>".into()))?
+        .ok_or_else(|| CliError::Usage(format!("{command} needs -n <tasks>")))?
         .parse()
-        .map_err(|_| CliError::Usage("-n must be a number".into()))?;
-    let seed = seed_opt(args)?;
-    let workload = LayeredDag::new(family.config(n, seed)).generate();
-    let platform = Platform::mppa256_cluster();
-    let file = WorkloadFile::from_workload(&workload, &platform);
+        .map_err(|_| CliError::Usage("-n must be a number".into()))
+}
+
+fn generate(args: &[String]) -> Result<String, CliError> {
+    let family = parse_family_token(
+        opt(args, "--family").ok_or_else(|| CliError::Usage("generate needs --family".into()))?,
+    )
+    .map_err(CliError::Usage)?;
+    let problem = family.problem(task_count(args, "generate")?, seed_opt(args, "--seed")?)?;
+    let file = WorkloadFile::from_problem(&problem);
     let json = serde_json::to_string_pretty(&file).expect("workload serializes");
     if let Some(path) = opt(args, "-o").or_else(|| opt(args, "--out")) {
         fs::write(path, &json)?;
         Ok(format!(
-            "wrote {} tasks / {} edges ({family}) to {path}",
-            workload.graph.len(),
-            workload.graph.edge_count()
+            "wrote {} tasks / {} edges ({}) to {path}",
+            problem.graph().len(),
+            problem.graph().edge_count(),
+            family.label()
         ))
     } else {
         Ok(json)
@@ -710,7 +705,7 @@ pub(crate) fn render_simulation(problem: &Problem, args: &[String]) -> Result<St
             )))
         }
     };
-    let seed = seed_opt(args)?;
+    let seed = seed_opt(args, "--seed")?;
     let run = simulate(problem, &schedule, &SimConfig::new(pattern).seed(seed))
         .map_err(|e| CliError::Analysis(e.to_string()))?;
     let mut out = format!(
@@ -733,7 +728,7 @@ pub(crate) fn render_simulation(problem: &Problem, args: &[String]) -> Result<St
 fn sdf_cmd(args: &[String]) -> Result<String, CliError> {
     let path = positional(args)
         .ok_or_else(|| CliError::Usage("sdf needs an .sdf/.sdf3 file or `rosace`".into()))?;
-    let (problem, iterations) = sdf_problem_with_iterations(path, args)?;
+    let (problem, iterations) = sdf_problem_full(path, args, "--strategy", "etf")?;
     let arbiter = parse_arbiter(opt(args, "--arbiter"))?;
     let schedule = mia_core::analyze(&problem, arbiter.as_ref())
         .map_err(|e| CliError::Analysis(e.to_string()))?;
@@ -803,10 +798,25 @@ pub(crate) mod tests {
 
     #[test]
     fn family_parsing() {
-        assert_eq!(parse_family("LS64").unwrap(), Family::FixedLayerSize(64));
-        assert_eq!(parse_family("nl16").unwrap(), Family::FixedLayers(16));
-        assert!(parse_family("XX4").is_err());
-        assert!(parse_family("LSxx").is_err());
+        // `generate` resolves `--family` through the one token parser.
+        let generate = |family: &str| run(&args(&["generate", "--family", family, "-n", "8"]));
+        for good in ["LS64", "nl16", "tobita", "layered"] {
+            let json = generate(good).unwrap_or_else(|e| panic!("{good}: {e}"));
+            assert!(json.contains("\"tasks\""), "{good}");
+        }
+        // Too short, a zero parameter, an unknown kind and a multi-byte
+        // token are usage errors, not panics.
+        for bad in ["XX4", "LSxx", "L", "LS0", "xé1"] {
+            assert!(
+                matches!(generate(bad), Err(CliError::Usage(m)) if m.contains("bad family")),
+                "{bad}"
+            );
+        }
+        // So is an empty problem.
+        assert!(matches!(
+            run(&args(&["generate", "--family", "LS4", "-n", "0"])),
+            Err(CliError::Usage(_))
+        ));
     }
 
     #[test]

@@ -43,12 +43,13 @@ use mia_dse::{
     render_dse_report, run_arbiters, AnnealTuning, DseConfig, DseReportFormat, ObjMask,
     OptimizeReport, ParetoConfig, SearchSpace, Strategy,
 };
-use mia_model::{BankPolicy, Cycles, Platform, Problem};
+use mia_model::{BankPolicy, Cycles, Problem};
 
 use crate::commands::{
-    has_flag, is_sdf_input, opt, positional, profile_finish, profile_start, sdf_problem_full,
-    CliError,
+    has_flag, is_sdf_input, mapping_by_name, opt, positional, profile_finish, profile_start,
+    sdf_problem_full, seed_opt, task_count, CliError,
 };
+use crate::sweep::{parse_family_token, SweepFamily};
 use crate::workload::WorkloadFile;
 
 /// Runs `mia optimize` with the raw arguments after the subcommand name.
@@ -192,7 +193,10 @@ pub(crate) fn load_optimize_problem(
     token: &str,
     args: &[String],
 ) -> Result<(Problem, BankPolicy, String), CliError> {
-    if is_sdf_input(token) {
+    let family = parse_family_token(token);
+    // `rosace` is a family token too, but here it stays the SDF input
+    // every analysis command takes, sized by `--iterations`.
+    if is_sdf_input(token) && !matches!(family, Ok(SweepFamily::Sdf(_))) {
         // The shared SDF pipeline, seeded from `--seed-strategy`
         // (default the paper's layered-cyclic — the incumbent the
         // acceptance criteria measure against; `--strategy` names the
@@ -200,35 +204,17 @@ pub(crate) fn load_optimize_problem(
         let (problem, _) = sdf_problem_full(token, args, "--seed-strategy", "cyclic")?;
         return Ok((problem, BankPolicy::PerCoreBank, token.to_owned()));
     }
-    if let Some(family) = mia_bench::sweep::parse_family_token(token) {
-        let n: usize = opt(args, "-n")
-            .or_else(|| opt(args, "--tasks"))
-            .ok_or_else(|| {
-                CliError::Usage(format!(
-                    "optimize {token} needs -n <tasks> (generator family)"
-                ))
-            })?
-            .parse()
-            .map_err(|_| CliError::Usage("-n must be a number".into()))?;
-        let gen_seed: u64 = opt(args, "--gen-seed")
-            .map_or(Ok(0), str::parse)
-            .map_err(|_| CliError::Usage("--gen-seed must be a number".into()))?;
-        let workload = mia_dag_gen::LayeredDag::new(family.config(n, gen_seed)).generate();
-        let platform = Platform::mppa256_cluster();
-        // The generator ships its own layered-cyclic mapping; an
-        // explicit `--seed-strategy` replaces it.
-        let mapping = match opt(args, "--seed-strategy") {
-            None => workload.mapping.clone(),
-            Some(_) => crate::commands::sdf_mapping(
-                &workload.graph,
-                platform.cores(),
-                args,
-                "--seed-strategy",
-                "cyclic",
-            )?,
-        };
-        let problem = Problem::new(workload.graph, mapping, platform)
-            .map_err(|e| CliError::Analysis(e.to_string()))?;
+    if let Ok(family) = family {
+        let n = task_count(args, &format!("optimize {token}"))?;
+        let mut problem = family.problem(n, seed_opt(args, "--gen-seed")?)?;
+        // The family ships its own layered-cyclic mapping; an explicit
+        // `--seed-strategy` replaces it.
+        if let Some(strategy) = opt(args, "--seed-strategy") {
+            let platform = problem.platform().clone();
+            let mapping = mapping_by_name(problem.graph(), platform.cores(), strategy)?;
+            problem = Problem::new(problem.graph().clone(), mapping, platform)
+                .map_err(|e| CliError::Analysis(e.to_string()))?;
+        }
         return Ok((problem, BankPolicy::PerCoreBank, family.label()));
     }
     // A JSON workload file: its own mapping is the seed, its bank policy
@@ -328,6 +314,21 @@ mod tests {
         assert!(out.contains(mia_dse::DSE_CSV_HEADER), "{out}");
         assert!(out.contains("LS4,rr,portfolio,24,"), "{out}");
         assert!(out.contains("LS4,mppa,portfolio,24,"), "{out}");
+        // `sdf3:<path>` is sized by `-n`, as in `mia sweep`.
+        let out = run(&args(&[
+            "optimize",
+            "sdf3:../../examples/fixture.sdf3",
+            "-n",
+            "24",
+            "--budget-evals",
+            "20",
+            "--csv",
+        ]))
+        .unwrap();
+        assert!(
+            out.contains("sdf3:../../examples/fixture.sdf3,rr,portfolio,"),
+            "{out}"
+        );
     }
 
     #[test]
@@ -449,55 +450,6 @@ mod tests {
         // Different seed mappings analyze differently (48 tasks, 4
         // layers: balancing visibly departs from cyclic).
         assert_ne!(seed_of(&cyclic), seed_of(&balanced), "{cyclic}\n{balanced}");
-    }
-
-    /// `mia optimize rosace` and the `dse` grid's `rosace` point at size
-    /// 25 build their seed problems separately (`sdf_problem_full` and
-    /// `SweepFamily::problem`); the shared driver must then report the
-    /// same runs, apart from wall-clock seconds.
-    #[test]
-    fn optimize_and_the_dse_grid_agree() {
-        use mia_bench::dse::{run_dse, DseSpec};
-        use mia_bench::sweep::SweepFamily;
-
-        // Pretty JSON puts each field on its own line.
-        let without_clock = |json: &str| -> Vec<String> {
-            json.lines()
-                .filter(|l| {
-                    let l = l.trim_start();
-                    !l.starts_with("\"seconds\":") && !l.starts_with("\"wall_seconds\":")
-                })
-                .map(str::to_owned)
-                .collect()
-        };
-        for pareto in [false, true] {
-            let cli = "optimize rosace --arbiters rr,mppa --budget-evals 200 --seed 7 --threads 1";
-            let mut cli: Vec<&str> = cli.split(' ').collect();
-            if pareto {
-                cli.push("--pareto");
-            }
-            let out = run(&args(&cli)).unwrap();
-            let cli_json = &out[out.find("\n{").expect("report JSON") + 1..];
-            let spec = DseSpec {
-                families: vec![SweepFamily::Rosace],
-                arbiters: vec!["rr".to_owned(), "mppa".to_owned()],
-                sizes: vec![25],
-                config: DseConfig {
-                    seed: 7,
-                    budget_evals: 200,
-                    threads: 1,
-                    pareto: pareto.then(ParetoConfig::default),
-                    ..DseConfig::default()
-                },
-            };
-            let report = run_dse(&spec, &|_| {}).unwrap();
-            assert_eq!(report.runs.len(), if pareto { 1 } else { 2 });
-            assert_eq!(
-                without_clock(cli_json.trim_end()),
-                without_clock(&mia_dse::report_json(&report)),
-                "pareto = {pareto}"
-            );
-        }
     }
 
     #[test]

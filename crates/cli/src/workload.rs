@@ -180,10 +180,16 @@ impl WorkloadFile {
         Problem::with_policy(graph, mapping, platform, policy)
     }
 
-    /// Builds a file from a generated workload (inverse of
-    /// [`WorkloadFile::into_problem`] for generator output).
-    pub fn from_workload(workload: &mia_dag_gen::Workload, platform: &Platform) -> Self {
-        let graph = &workload.graph;
+    /// Builds a file from a problem under the per-core-bank policy
+    /// (inverse of [`WorkloadFile::into_problem`]): what `mia generate`
+    /// writes. The
+    /// per-core `orders` are written only when some core does not run
+    /// its tasks in task order.
+    pub fn from_problem(problem: &Problem) -> Self {
+        let (graph, mapping, platform) = (problem.graph(), problem.mapping(), problem.platform());
+        let in_task_order = mapping
+            .iter()
+            .all(|(_, order)| order.windows(2).all(|w| w[0] < w[1]));
         WorkloadFile {
             platform: PlatformSpec {
                 cores: platform.cores(),
@@ -210,11 +216,13 @@ impl WorkloadFile {
                     words: e.words,
                 })
                 .collect(),
-            mapping: graph
-                .task_ids()
-                .map(|t| workload.mapping.core_of(t).0)
-                .collect(),
-            orders: None,
+            mapping: graph.task_ids().map(|t| mapping.core_of(t).0).collect(),
+            orders: (!in_task_order).then(|| {
+                mapping
+                    .iter()
+                    .map(|(_, order)| order.iter().map(|t| t.0).collect())
+                    .collect()
+            }),
         }
     }
 }
@@ -346,15 +354,30 @@ mod tests {
     #[test]
     fn generator_output_round_trips() {
         use mia_dag_gen::{Family, LayeredDag};
-        let w = LayeredDag::new(Family::FixedLayerSize(4).config(32, 3)).generate();
-        let platform = Platform::mppa256_cluster();
-        let file = WorkloadFile::from_workload(&w, &platform);
+        let problem = LayeredDag::new(Family::FixedLayerSize(4).config(32, 3))
+            .generate()
+            .into_problem(&Platform::mppa256_cluster())
+            .unwrap();
+        let file = WorkloadFile::from_problem(&problem);
+        assert!(file.orders.is_none(), "generated cores run in task order");
         let json = serde_json::to_string(&file).unwrap();
         let back: WorkloadFile = serde_json::from_str(&json).unwrap();
         assert_eq!(back, file);
         let p1 = back.into_problem().unwrap();
-        let p2 = w.into_problem(&platform).unwrap();
-        assert_eq!(p1.graph(), p2.graph());
-        assert_eq!(p1.mapping(), p2.mapping());
+        assert_eq!(p1.graph(), problem.graph());
+        assert_eq!(p1.mapping(), problem.mapping());
+    }
+
+    #[test]
+    fn orders_out_of_task_order_round_trip() {
+        let text = r#"{ "tasks": [ { "name": "a", "wcet": 5 }, { "name": "b", "wcet": 7 } ],
+                        "mapping": [0, 0], "orders": [[1, 0]] }"#;
+        let problem = serde_json::from_str::<WorkloadFile>(text)
+            .unwrap()
+            .into_problem()
+            .unwrap();
+        let file = WorkloadFile::from_problem(&problem);
+        assert_eq!(file.orders, Some(vec![vec![1, 0]]));
+        assert_eq!(file.into_problem().unwrap().mapping(), problem.mapping());
     }
 }

@@ -162,7 +162,7 @@ fn structured_and_degenerate_topologies_conform() {
 
 /// The real-benchmark workload families of the sweep driver: the ROSACE
 /// avionics case study and the committed SDF3 fixture, expanded exactly
-/// as `mia_bench::sweep::SweepFamily` expands them (layered-cyclic
+/// as `mia_cli::sweep::SweepFamily` expands them (layered-cyclic
 /// mapping on the MPPA cluster). Every registered arbiter × every
 /// interference mode — 28 scenarios — is pinned bit-identically to the
 /// `mia-baseline` oracle, so these families are as trustworthy as the

@@ -578,14 +578,17 @@ impl Candidate {
 
     /// Dependency-aware [`Candidate::propose`]: same move kinds and
     /// kind distribution, but the operators consult `guide`'s
-    /// topological ranks so proposals preserve per-core
-    /// rank-sortedness — which makes them feasible **by construction**,
-    /// multi-hop cycles included (see [`MoveGuide`]) — and draw tasks
-    /// tail-biased so the delta re-analysis behind each evaluation can
-    /// resume from a late checkpoint. Exhausted attempts (and seeds
-    /// whose orders defeat the rank heuristic) return [`Undo::Noop`],
-    /// keeping the PRNG stream deterministic; the evaluator's remap
-    /// validation remains the authority on feasibility.
+    /// topological ranks and draw tasks tail-biased so the delta
+    /// re-analysis behind each evaluation can resume from a late
+    /// checkpoint. Migrations and swaps keep a rank-sorted order
+    /// rank-sorted, which makes them feasible **by construction**,
+    /// multi-hop cycles included (see [`MoveGuide`]). Reorders do not:
+    /// they swap any adjacent pair without a direct edge, whatever the
+    /// ranks, so orders drift out of rank order during a search and a
+    /// reorder can close a multi-hop cycle. Exhausted attempts return
+    /// [`Undo::Noop`], keeping the PRNG stream deterministic; the
+    /// acyclicity check of [`Problem::apply_move`] is the authority on
+    /// feasibility.
     pub fn propose_guided(
         &mut self,
         graph: &TaskGraph,

@@ -140,6 +140,30 @@ fn engine_failures_map_to_their_error_kinds() {
     }
 }
 
+/// A served `load` of an empty family problem is a usage error, not a
+/// panic in the daemon's only worker: the same daemon keeps answering.
+#[test]
+fn empty_family_load_is_a_usage_error_and_the_daemon_survives() {
+    let handle = ServeHandle::spawn(
+        Arc::new(mia_cli::CliEngine),
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let mut client = handle.client();
+    let args = ["-n".to_owned(), "0".to_owned()];
+    match client.load("LS4", &args).expect_err("empty problem") {
+        ClientError::Server { kind: k, .. } => assert_eq!(k, kind::USAGE),
+        other => panic!("expected server error, got {other}"),
+    }
+    assert_eq!(client.ping().expect("daemon alive"), "pong");
+    let reply = client
+        .run("analyze", "rosace", &[])
+        .expect("analyze rosace");
+    assert!(reply.output.contains("makespan"), "{}", reply.output);
+}
+
 #[test]
 fn version_mismatch_is_rejected_before_any_work() {
     let handle = ServeHandle::spawn_default(Arc::new(ToyEngine::instant()));
